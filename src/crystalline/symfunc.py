@@ -19,6 +19,9 @@ x_{n+1} = x_{n+2} = ... = 0 and converts each power of t into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
+from operator import add
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from crystalline.weights import (
@@ -38,29 +41,64 @@ class CutoffMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson rule
 
-_LR_CACHE: dict[tuple[Partition, Partition], dict[Partition, int]] = {}
+_LR_CACHE: dict[tuple[Partition, Partition], Mapping[Partition, int]] = {}
 
 
-def lr_expand(lam: Sequence[int], mu: Sequence[int]) -> dict[Partition, int]:
-    """Coefficients of s_lam * s_mu in the Schur basis.
+def lr_expand(lam: Sequence[int], mu: Sequence[int]) -> Mapping[Partition, int]:
+    """Coefficients of s_lam * s_mu in the Schur basis, as a read-only map.
+
+    The table is filled (see :func:`_lr_fill`) on the cheapest of the
+    equivalent forms given by the symmetries c^nu_{lam,mu} = c^nu_{mu,lam}
+    = c^{nu'}_{lam',mu'}: conjugates when the pair is taller than it is
+    wide, and the factor with fewer parts as the letters.
+    """
+    return _lr(make_partition(lam), make_partition(mu))
+
+
+def _lr(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
+    """:func:`lr_expand` on arguments that are already partitions."""
+    key = (lam, mu)
+    table = _LR_CACHE.get(key)
+    if table is None:
+        table = _LR_CACHE[key] = MappingProxyType(_lr_cheapest(lam, mu))
+    return table
+
+
+def _lr_cheapest(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    if sum(lam[:1]) + sum(mu[:1]) < len(lam) + len(mu):
+        flipped = _lr_cheapest(_transpose(lam), _transpose(mu))
+        return {_transpose(nu): c for nu, c in flipped.items()}
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    return _lr_fill(lam, mu)
+
+
+def _transpose(lam: Partition) -> Partition:
+    """Conjugate of a partition already known to be valid."""
+    cols: list[int] = []
+    for height in range(len(lam), 0, -1):
+        cols.extend([height] * (lam[height - 1] - len(cols)))
+    return tuple(cols)
+
+
+def _lr_fill(lam: Partition, mu: Partition) -> dict[Partition, int]:
+    """Littlewood-Richardson table of s_lam * s_mu by one fixed filling.
 
     Letters 1..len(mu) are placed on top of lam as horizontal strips of
     sizes mu_1, mu_2, ...; a placement is admitted when, for every letter
     i >= 2 and every row r, the letters i in rows <= r are at most the
     letters i-1 in rows <= r-1 (the lattice-word condition row by row).
+    The work grows with len(lam) + len(mu) rows and len(mu) letters; this
+    orientation-fixed filling is the reference for :func:`lr_expand`.
     """
-    lam = make_partition(lam)
-    mu = make_partition(mu)
-    key = (lam, mu)
-    if key in _LR_CACHE:
-        return _LR_CACHE[key]
     results: dict[Partition, int] = {}
     rows = len(lam) + len(mu)
     shape = list(lam) + [0] * (rows - len(lam) + 1)
 
     def place_letter(i: int, prev_counts: tuple[int, ...]) -> None:
         if i == len(mu):
-            nu = make_partition(tuple(shape))
+            # the filling keeps rows weakly decreasing, so only zeros trail
+            nu = tuple(p for p in shape if p)
             results[nu] = results.get(nu, 0) + 1
             return
         counts = [0] * rows
@@ -93,7 +131,6 @@ def lr_expand(lam: Sequence[int], mu: Sequence[int]) -> dict[Partition, int]:
         fill(1, mu[i], 0, 0)
 
     place_letter(0, ())
-    _LR_CACHE[key] = results
     return results
 
 
@@ -122,6 +159,19 @@ class SchurSeries:
         }
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _trusted(cls, cutoff: int, coeffs: Mapping, t_power: int) -> "SchurSeries":
+        """Build from keys already known to be partitions of size <= cutoff.
+
+        Only zero coefficients are dropped; callers are the operations whose
+        keys all come from validated operands.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "cutoff", cutoff)
+        object.__setattr__(series, "coeffs", {lam: c for lam, c in coeffs.items() if c})
+        object.__setattr__(series, "t_power", t_power)
+        return series
+
     def _check(self, other: "SchurSeries") -> None:
         if self.cutoff != other.cutoff:
             raise CutoffMismatchError(
@@ -137,13 +187,15 @@ class SchurSeries:
         merged = dict(self.coeffs)
         for lam, c in other.coeffs.items():
             merged[lam] = merged.get(lam, 0) + c
-        return SchurSeries(self.cutoff, merged, self.t_power)
+        return SchurSeries._trusted(self.cutoff, merged, self.t_power)
 
     def __sub__(self, other: "SchurSeries") -> "SchurSeries":
         return self + (-other)
 
     def __neg__(self) -> "SchurSeries":
-        return SchurSeries(self.cutoff, {l: -c for l, c in self.coeffs.items()}, self.t_power)
+        return SchurSeries._trusted(
+            self.cutoff, {l: -c for l, c in self.coeffs.items()}, self.t_power
+        )
 
     def scale(self, c: int) -> "SchurSeries":
         return SchurSeries(self.cutoff, {l: c * v for l, v in self.coeffs.items()}, self.t_power)
@@ -229,30 +281,44 @@ def schur_mul(f: SchurSeries, g: SchurSeries) -> SchurSeries:
     if f.cutoff != g.cutoff:
         raise CutoffMismatchError(f"cutoffs differ: {f.cutoff} vs {g.cutoff}")
     cutoff = f.cutoff
+    right = [(mu, sum(mu), b) for mu, b in g.coeffs.items()]
     out: dict[Partition, int] = {}
     for lam, a in f.coeffs.items():
-        for mu, b in g.coeffs.items():
-            if sum(lam) + sum(mu) > cutoff:
+        room = cutoff - sum(lam)
+        for mu, size, b in right:
+            if size > room:
                 continue
-            for nu, c in lr_expand(lam, mu).items():
-                out[nu] = out.get(nu, 0) + a * b * c
-    return SchurSeries(cutoff, out, f.t_power + g.t_power)
+            ab = a * b
+            for nu, c in _lr(lam, mu).items():
+                out[nu] = out.get(nu, 0) + ab * c
+    return SchurSeries._trusted(cutoff, out, f.t_power + g.t_power)
 
 
 def determinant(matrix: Sequence[Sequence], zero):
-    """Cofactor-expansion determinant over any commutative ring elements."""
+    """Determinant by Laplace expansion along columns, each minor computed once.
+
+    The minor on rows S and the last n - |S| columns expands down its first
+    column, so the whole expansion costs about 2^n * n ring products instead
+    of n!.  Every term is the column-ordered product
+    M[s_0][0] * (M[s_1][1] * (... * M[s_{n-1}][n-1])) with the sign of the
+    permutation s, so it is also the determinant used over noncommutative
+    entries such as the rewriting algebra's elements.
+    """
     size = len(matrix)
     if size == 0:
         raise ValueError("empty matrix has no determinant here; handle upstream")
-    if size == 1:
-        return matrix[0][0]
-    total = zero
-    rest = [row[1:] for row in matrix]
-    for i in range(size):
-        minor = [rest[k] for k in range(size) if k != i]
-        term = matrix[i][0] * determinant(minor, zero)
-        total = total + term if i % 2 == 0 else total - term
-    return total
+    last = size - 1
+    minors = {(i,): matrix[i][last] for i in range(size)}
+    for col in range(last - 1, -1, -1):
+        wider = {}
+        for rows in combinations(range(size), size - col):
+            total = zero
+            for p, i in enumerate(rows):
+                term = matrix[i][col] * minors[rows[:p] + rows[p + 1 :]]
+                total = total + term if p % 2 == 0 else total - term
+            wider[rows] = total
+        minors = wider
+    return minors[tuple(range(size))]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +484,18 @@ class LaurentPoly:
             clean[exp] = int(c)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: Mapping) -> "LaurentPoly":
+        """Build from exponents already known to be int tuples of length nvars.
+
+        Only zero coefficients are dropped, into a fresh dict; callers are the
+        operations whose exponents all come from validated operands.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
+        return poly
+
     @staticmethod
     def zero(nvars: int) -> "LaurentPoly":
         return LaurentPoly(nvars, {})
@@ -448,22 +526,23 @@ class LaurentPoly:
         merged = dict(self.terms)
         for exp, c in other.terms.items():
             merged[exp] = merged.get(exp, 0) + c
-        return LaurentPoly(self.nvars, merged)
+        return LaurentPoly._trusted(self.nvars, merged)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
         out: dict[tuple, int] = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._trusted(self.nvars, out)
 
     def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
@@ -630,20 +709,25 @@ def sigma_char(shape: Sequence[int], lie_type: str, n: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Schur polynomials at rank n and the specialization bridge
 
-_SSYT_CACHE: dict[tuple[Partition, int], LaurentPoly] = {}
+_SSYT_CACHE: dict[tuple[Partition, int], dict[tuple, int]] = {}
 
 
 def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
-    """s_lam(x_1..x_n) by semistandard tableau enumeration."""
+    """s_lam(x_1..x_n) by semistandard tableau enumeration.
+
+    Each call returns its own polynomial; the cached terms are never shared.
+    """
     lam = make_partition(lam)
     key = (lam, n)
-    if key in _SSYT_CACHE:
-        return _SSYT_CACHE[key]
-    if len(lam) > n:
-        result = LaurentPoly.zero(n)
-        _SSYT_CACHE[key] = result
-        return result
+    if key not in _SSYT_CACHE:
+        _SSYT_CACHE[key] = _ssyt_terms(lam, n)
+    return LaurentPoly._trusted(n, _SSYT_CACHE[key])
+
+
+def _ssyt_terms(lam: Partition, n: int) -> dict[tuple, int]:
     terms: dict[tuple, int] = {}
+    if len(lam) > n:
+        return terms
     rows = [[0] * p for p in lam]
 
     def fill(r: int, c: int, counts: list[int]) -> None:
@@ -666,9 +750,7 @@ def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
             counts[v - 1] -= 1
 
     fill(0, 0, [0] * n)
-    result = LaurentPoly(n, terms)
-    _SSYT_CACHE[key] = result
-    return result
+    return terms
 
 
 def laurent_specialize(f: SchurSeries, n: int) -> LaurentPoly:

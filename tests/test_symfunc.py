@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from crystalline.weights import DominantShape, conjugate, make_partition, partitions_of
+from crystalline import symfunc
+from crystalline.grothendieck import AElement, a_h, a_z
+from crystalline.weights import (
+    DominantShape,
+    InvalidShapeError,
+    conjugate,
+    make_partition,
+    partitions_of,
+)
 from crystalline.symfunc import (
     CutoffMismatchError,
     LaurentPoly,
@@ -109,6 +117,70 @@ def test_lr_frozen_examples():
     }
     assert lr_expand((2, 2), (2, 2)).get((4, 3, 1)) == 1
     assert lr_expand((), (3, 2)) == {(3, 2): 1}
+
+
+def test_lr_fast_path_matches_reference_filling(monkeypatch):
+    # the orientation-fixed filling is the reference; the fast path may run
+    # it on the conjugate pair, with the factors swapped, or both
+    reference = symfunc._lr_fill
+    forms = []
+
+    def recording_fill(lam, mu):
+        forms.append((lam, mu))
+        return reference(lam, mu)
+
+    monkeypatch.setattr(symfunc, "_lr_fill", recording_fill)
+    parts = [p for s in range(0, 11) for p in partitions_of(s)]
+    seen = set()
+    for lam in parts:
+        for mu in parts:
+            if sum(lam) + sum(mu) > 10:
+                continue
+            forms.clear()
+            fast = symfunc._lr_cheapest(lam, mu)
+            (form,) = forms
+            assert fast == reference(lam, mu), (lam, mu)
+            assert lr_expand(lam, mu) == fast, (lam, mu)
+            lam_c, mu_c = conjugate(lam), conjugate(mu)
+            branch = {
+                (lam, mu): ("as given", "unswapped"),
+                (mu, lam): ("as given", "swapped"),
+                (lam_c, mu_c): ("conjugated", "unswapped"),
+                (mu_c, lam_c): ("conjugated", "swapped"),
+            }
+            if len(branch) == 4:  # the four forms are told apart
+                seen.add(branch[form])
+    assert len(seen) == 4, seen
+
+
+def test_cached_results_cannot_be_poisoned():
+    table = lr_expand((1,), (1,))
+    with pytest.raises(TypeError):
+        table[(9,)] = 5
+    assert lr_expand((1,), (1,)) == {(2,): 1, (1, 1): 1}
+    box = schur_basis((1,), 4)
+    assert schur_mul(box, box) == SchurSeries(4, {(2,): 1, (1, 1): 1})
+    poly = schur_poly((1,), 2)
+    poly.terms[(5, 5)] = 7
+    assert schur_poly((1,), 2).terms == {(1, 0): 1, (0, 1): 1}
+
+
+def test_public_constructors_still_validate():
+    with pytest.raises(InvalidShapeError):
+        SchurSeries(5, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(1, 0, 0): 1})
+    # sums and products skip re-validation but keep integrality checks
+    box = schur_basis((1,), 4)
+    with pytest.raises(ArithmeticError):
+        (box + box + box).half()
+
+
+def test_even_orthogonal_series_still_checks_its_halving(monkeypatch):
+    # with the alternating correction removed, the half-sum is odd
+    monkeypatch.setattr(symfunc, "alternating_e_product", zero_series)
+    with pytest.raises(ArithmeticError):
+        s_g_series(DominantShape("d", (1,), 2), 6)
 
 
 def test_schur_mul_symmetry_random():
@@ -406,3 +478,71 @@ def test_determinant_basics():
     assert determinant(m, LaurentPoly.zero(1)).is_zero()
     x = LaurentPoly.monomial(1, (1,))
     assert determinant([[x]], LaurentPoly.zero(1)) == x
+
+
+def cofactor_determinant(matrix, zero):
+    """Reference: expansion down the first column, minors recomputed."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = zero
+    rest = [row[1:] for row in matrix]
+    for i in range(len(matrix)):
+        minor = [rest[k] for k in range(len(matrix)) if k != i]
+        term = matrix[i][0] * cofactor_determinant(minor, zero)
+        total = total + term if i % 2 == 0 else total - term
+    return total
+
+
+def _random_entries(rng, size, draw):
+    return [[draw(rng) for _ in range(size)] for _ in range(size)]
+
+
+def _draw_int(rng):
+    return rng.randint(-5, 5)
+
+
+def _draw_laurent(rng):
+    total = LaurentPoly.zero(2)
+    for _ in range(rng.randint(0, 3)):
+        exp = (rng.randint(-2, 2), rng.randint(-2, 2))
+        total = total + LaurentPoly.monomial(2, exp, rng.randint(-3, 3))
+    return total
+
+
+_SMALL_PARTS = [p for s in range(0, 4) for p in partitions_of(s)]
+
+
+def _draw_series(rng):
+    total = zero_series(6)
+    for _ in range(rng.randint(0, 3)):
+        total = total + schur_basis(rng.choice(_SMALL_PARTS), 6).scale(rng.randint(-2, 2))
+    return total
+
+
+def _draw_algebra(rng):
+    # column and row letters do not commute, so a product-order slip shows
+    total = AElement("c")
+    for _ in range(rng.randint(0, 2)):
+        letter = a_z("c", rng.randint(0, 2)) if rng.random() < 0.5 else a_h("c", rng.randint(0, 2))
+        total = total + letter.scale(rng.choice((-1, 1, 2)))
+    return total
+
+
+@pytest.mark.parametrize(
+    "draw, zero",
+    [
+        (_draw_int, 0),
+        (_draw_laurent, LaurentPoly.zero(2)),
+        (_draw_series, zero_series(6)),
+        (_draw_algebra, AElement("c")),
+    ],
+    ids=["int", "laurent", "series", "algebra"],
+)
+def test_determinant_against_cofactor_oracle(draw, zero):
+    rng = random.Random(2024)
+    for size in (1, 2, 3, 4):
+        for _ in range(6 if size < 4 else 3):
+            matrix = _random_entries(rng, size, draw)
+            assert determinant(matrix, zero) == cofactor_determinant(matrix, zero), matrix
+    with pytest.raises(ValueError):
+        determinant([], zero)
