@@ -127,6 +127,11 @@ def check_type(value: str) -> str:
     return value
 
 
+def check_rank(rank: int, minimum: int = 1) -> None:
+    if rank < minimum:
+        raise CliError(f"--rank must be at least {minimum}, not {rank}")
+
+
 def emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -153,6 +158,7 @@ def to_json_text(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     lie = check_type(args.type)
+    check_rank(args.rank)
     if args.rank > args.max_rank:
         raise ResourceCapError(f"rank {args.rank} exceeds --max-rank {args.max_rank}")
     shape = parse_parts(args.shape)
@@ -199,6 +205,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_graph(args) -> int:
     lie = check_type(args.type)
+    # the type d letter crystal needs both middle arrows, so rank 2 or more
+    check_rank(args.rank, 2 if lie == "d" else 1)
     if args.rank > args.max_rank:
         raise ResourceCapError(f"rank {args.rank} exceeds --max-rank {args.max_rank}")
     shape = parse_parts(args.shape)
@@ -544,6 +552,8 @@ def _parse_groth_token(token: str, lie: str) -> GrothElement:
 
 def cmd_groth(args) -> int:
     lie = check_type(args.type)
+    if args.degree is not None and args.degree < 0:
+        raise CliError(f"--degree must be nonnegative, not {args.degree}")
     if args.degree is not None and args.degree > args.max_degree:
         raise ResourceCapError(
             f"--degree {args.degree} exceeds --max-degree {args.max_degree}"
@@ -676,7 +686,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, InvalidShapeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (ResourceCapError, StabilizationError) as exc:

@@ -53,6 +53,23 @@ READING_ORDERS = ("right", "left")
 DEFAULT_MAX_VERTICES = 1_000_000
 
 
+class CrystalClosureError(AssertionError):
+    """A crystal operator produced a filling that breaks the KN rules.
+
+    Carries the input tableau, the operator ("e" or "f"), its index and the
+    rejected output as ``tableau``, ``op``, ``index`` and ``result``.  It is
+    an AssertionError because closure is an invariant of the model, but it
+    is raised explicitly, so the check also runs under ``python -O``.
+    """
+
+    def __init__(self, tableau: KNTableau, op: str, index: int, result: KNTableau):
+        super().__init__(
+            f"{op}_{index} took {tableau.rows} to {result.rows}, which breaks "
+            f"the type {tableau.lie_type} rank {tableau.rank} filling rules"
+        )
+        self.tableau, self.op, self.index, self.result = tableau, op, index, result
+
+
 def _check_order(order: str) -> str:
     if order not in READING_ORDERS:
         raise ValueError(f"unknown reading order {order!r}; use one of {READING_ORDERS}")
@@ -263,7 +280,13 @@ def reading_positions(
     "right": columns right to left, each top to bottom.
     "left": columns left to right, each bottom to top.
     """
-    _check_order(order)
+    return _reading_positions(tuple(shape), _check_order(order))
+
+
+@lru_cache(maxsize=1024)
+def _reading_positions(
+    shape: tuple[int, ...], order: str
+) -> tuple[tuple[int, int], ...]:
     widths = [abs(part) for part in shape]
     ncols = widths[0] if widths else 0
     cols = range(ncols - 1, -1, -1) if order == "right" else range(ncols)
@@ -283,7 +306,11 @@ def reading_word(T: KNTableau, order: str = "right") -> tuple[int, ...]:
 def tableau_op(
     T: KNTableau, op: str, i: int, order: str = "right"
 ) -> KNTableau | None:
-    """Apply a raising ("e") or lowering ("f") operator to a tableau."""
+    """Apply a raising ("e") or lowering ("f") operator to a tableau.
+
+    Every result is checked against the filling rules; one that breaks them
+    raises CrystalClosureError.
+    """
     if op not in ("e", "f"):
         raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
     positions = reading_positions(T.shape, order)
@@ -298,8 +325,9 @@ def tableau_op(
     row = list(rows[r])
     row[c] = new_word[changed]
     rows[r] = tuple(row)
-    out = KNTableau(T.shape, tuple(rows), T.lie_type, T.rank)
-    assert kn_validate(out), (T, op, i, out)
+    out = KNTableau._trusted(T.shape, tuple(rows), T.lie_type, T.rank)
+    if not kn_validate(out):
+        raise CrystalClosureError(T, op, i, out)
     return out
 
 

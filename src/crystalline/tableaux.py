@@ -34,6 +34,7 @@ that keeps all overlapping rows weakly increasing.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -269,6 +270,28 @@ class KNTableau:
                         f"letter {x} outside the rank-{self.rank} alphabet"
                     )
 
+    @classmethod
+    def _trusted(
+        cls,
+        shape: tuple[int, ...],
+        rows: tuple[tuple[int, ...], ...],
+        lie_type: str,
+        rank: int,
+    ) -> "KNTableau":
+        """Build from a normalized shape and int rows that fill it with
+        letters of the rank-n alphabet.
+
+        Callers are the enumeration, which fills a normalized shape with
+        admissible columns, and the crystal operators, which change one
+        letter along an arrow of the alphabet; the public constructor keeps
+        validating.  The filling rules are judged separately either way.
+        """
+        T = object.__new__(cls)
+        fields = T.__dict__
+        fields["shape"], fields["rows"] = shape, rows
+        fields["lie_type"], fields["rank"] = lie_type, rank
+        return T
+
     def columns(self) -> tuple[tuple[int, ...], ...]:
         widths = _abs_shape(self.shape)
         ncols = widths[0] if widths else 0
@@ -353,15 +376,18 @@ def _bracket_pairs(
             yield p, s
 
 
-def _pair_condition_violations(
+# Each two-column rule is a generator of its witnesses, in a fixed order.
+# kn_violations formats every witness; the boolean checks stop at the first.
+
+
+def _pair_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
     lie_type: str,
     n: int,
     config: KNConfig,
-    col_index: int,
-) -> list[Violation]:
-    out = []
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Witnesses (a, p, s, b, q, r) of the bracket-pair rule."""
     b_lo = 1 if lie_type == "c" else 2
     for a in range(b_lo, n + 1):
         for p, s in _bracket_pairs(left, right, a):
@@ -380,27 +406,17 @@ def _pair_condition_violations(
                                 witnesses.append((q, r))
                 for q, r in witnesses:
                     if p <= q < r <= s and (q - p) + (s - r) >= a - b:
-                        out.append(
-                            Violation(
-                                "bracket-pair-distance",
-                                f"columns {col_index},{col_index + 1}: bracket "
-                                f"{-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
-                                f"has gap {(q - p) + (s - r)} >= {a - b}",
-                            )
-                        )
-    return out
+                        yield a, p, s, b, q, r
 
 
-def _band_condition_violations(
+def _band_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
     lie_type: str,
     n: int,
-    col_index: int,
-) -> list[Violation]:
+) -> Iterator[tuple[int, int, int, int, int]]:
+    """Witnesses (a, p, s, q, r) of the zero-band or sign-band rule."""
     band = {-1, 0, 1} if lie_type == "b" else {-1, 1}
-    clause = "zero-band-distance" if lie_type == "b" else "sign-band-distance"
-    out = []
     for a in range(2, n + 1):
         for p, s in _bracket_pairs(left, right, a):
             if p >= s:
@@ -413,51 +429,35 @@ def _band_condition_violations(
                     cq, cr = col[q - 1], col[r - 1]
                     if cq in band and cr in band and (lie_type == "b" or cq != cr):
                         if (q - p) + (s - r) >= a - 1:
-                            out.append(
-                                Violation(
-                                    clause,
-                                    f"columns {col_index},{col_index + 1}: bracket "
-                                    f"{-a}@{p}..{a}@{s} spans the band cells at rows "
-                                    f"{q},{r} with gap {(q - p) + (s - r)} >= {a - 1}",
-                                )
-                            )
-    return out
+                            yield a, p, s, q, r
 
 
-def _overlap_condition_violations(
+def _overlap_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
     lie_type: str,
-    col_index: int,
-) -> list[Violation]:
+) -> Iterator[tuple[int, int]]:
+    """Witnesses (p, q) of the zero-overlap or sign-overlap rule: a left cell
+    at row p above a right cell at row q."""
     if lie_type == "b":
-        upper_set, lower_set, clause = {-1, 0}, {0, 1}, "zero-overlap"
+        upper_set, lower_set = {-1, 0}, {0, 1}
     else:
-        upper_set, lower_set, clause = {-1, 1}, {-1, 1}, "sign-overlap"
-    out = []
+        upper_set, lower_set = {-1, 1}, {-1, 1}
     for p in range(1, len(left) + 1):
         if left[p - 1] not in upper_set:
             continue
         for q in range(p + 1, len(right) + 1):
             if right[q - 1] in lower_set:
-                out.append(
-                    Violation(
-                        clause,
-                        f"columns {col_index},{col_index + 1}: {left[p - 1]}@{p} "
-                        f"left sits above {right[q - 1]}@{q} right",
-                    )
-                )
-    return out
+                yield p, q
 
 
-def _span_condition_violations(
+def _span_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
     n: int,
     config: KNConfig,
-    col_index: int,
-) -> list[Violation]:
-    out = []
+) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Witnesses (a, p, s, q, r, span) of the sign-span-parity rule."""
     for a in range(2, n + 1):
         for p, s in _bracket_pairs(left, right, a):
             if p >= s:
@@ -473,15 +473,55 @@ def _span_condition_violations(
                         config.sign_span
                     ]
                     if (span % 2 == 0) == same and s - p >= a - 1:
-                        out.append(
-                            Violation(
-                                "sign-span-parity",
-                                f"columns {col_index},{col_index + 1}: bracket "
-                                f"{-a}@{p}..{a}@{s} with signs {right[q - 1]}@{q} "
-                                f"right, {left[r - 1]}@{r} left has span {span} and "
-                                f"width {s - p} >= {a - 1}",
-                            )
-                        )
+                        yield a, p, s, q, r, span
+
+
+def _two_column_violations(
+    left: Sequence[int],
+    right: Sequence[int],
+    lie_type: str,
+    n: int,
+    config: KNConfig,
+    j: int,
+) -> list[Violation]:
+    """The formatted two-column violations of columns j and j+1 (1-indexed)."""
+    where = f"columns {j},{j + 1}"
+    out = [
+        Violation(
+            "bracket-pair-distance",
+            f"{where}: bracket {-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
+            f"has gap {(q - p) + (s - r)} >= {a - b}",
+        )
+        for a, p, s, b, q, r in _pair_condition_hits(left, right, lie_type, n, config)
+    ]
+    if lie_type in ("b", "d"):
+        band = "zero-band-distance" if lie_type == "b" else "sign-band-distance"
+        out.extend(
+            Violation(
+                band,
+                f"{where}: bracket {-a}@{p}..{a}@{s} spans the band cells at rows "
+                f"{q},{r} with gap {(q - p) + (s - r)} >= {a - 1}",
+            )
+            for a, p, s, q, r in _band_condition_hits(left, right, lie_type, n)
+        )
+        overlap = "zero-overlap" if lie_type == "b" else "sign-overlap"
+        out.extend(
+            Violation(
+                overlap,
+                f"{where}: {left[p - 1]}@{p} left sits above {right[q - 1]}@{q} right",
+            )
+            for p, q in _overlap_condition_hits(left, right, lie_type)
+        )
+    if lie_type == "d":
+        out.extend(
+            Violation(
+                "sign-span-parity",
+                f"{where}: bracket {-a}@{p}..{a}@{s} with signs {right[q - 1]}@{q} "
+                f"right, {left[r - 1]}@{r} left has span {span} and "
+                f"width {s - p} >= {a - 1}",
+            )
+            for a, p, s, q, r, span in _span_condition_hits(left, right, n, config)
+        )
     return out
 
 
@@ -551,20 +591,77 @@ def kn_violations(
                             )
                         )
     for j in range(len(cols) - 1):
-        left, right = cols[j], cols[j + 1]
         out.extend(
-            _pair_condition_violations(left, right, lie_type, n, config, j + 1)
+            _two_column_violations(cols[j], cols[j + 1], lie_type, n, config, j + 1)
         )
-        if lie_type in ("b", "d"):
-            out.extend(_band_condition_violations(left, right, lie_type, n, j + 1))
-            out.extend(_overlap_condition_violations(left, right, lie_type, j + 1))
-        if lie_type == "d":
-            out.extend(_span_condition_violations(left, right, n, config, j + 1))
     return tuple(out)
 
 
+def _columns_compatible(
+    left: tuple[int, ...],
+    right: tuple[int, ...],
+    lie_type: str,
+    n: int,
+    config: KNConfig,
+) -> bool:
+    """Whether two adjacent columns keep their rows in order and break no
+    two-column rule; stops at the first witness and formats nothing."""
+    if not all(
+        row_pair_ok(left[i], right[i], lie_type) for i in range(len(right))
+    ):
+        return False
+    if next(_pair_condition_hits(left, right, lie_type, n, config), None):
+        return False
+    if lie_type in ("b", "d") and (
+        next(_band_condition_hits(left, right, lie_type, n), None)
+        or next(_overlap_condition_hits(left, right, lie_type), None)
+    ):
+        return False
+    return lie_type != "d" or not next(
+        _span_condition_hits(left, right, n, config), None
+    )
+
+
+# Small LRU memos for kn_validate, keyed by the column or column pair, the
+# type and the rank (and the config, for pairs): a breadth-first crystal walk
+# checks the same columns and pairs again within a few frontiers, while
+# source walks do not revisit pairs, so larger tables only add memory to a
+# long session.
+
+
+@lru_cache(maxsize=512)
+def _column_ok(column: tuple[int, ...], lie_type: str, n: int) -> bool:
+    return all(
+        column_pair_ok(column[i], column[i + 1], lie_type)
+        for i in range(len(column) - 1)
+    ) and n_admissible(column, n, lie_type)
+
+
+_pair_ok = lru_cache(maxsize=1024)(_columns_compatible)
+
+
 def kn_validate(T: KNTableau, config: KNConfig = DEFAULT_CONFIG) -> bool:
-    return not kn_violations(T, config)
+    """Whether T breaks no filling rule, i.e. ``not kn_violations(T, config)``.
+
+    Decided per column (order and admissibility, plus the full-column parity
+    where it applies) and per adjacent column pair (row order and the
+    two-column rules), stopping at the first broken rule.
+    """
+    lie_type, n = T.lie_type, T.rank
+    cols = T.columns()
+    if not all(_column_ok(col, lie_type, n) for col in cols):
+        return False
+    if lie_type == "d" and len(T.shape) == n and T.shape:
+        sign = 1 if T.shape[-1] > 0 else -1
+        mode = config.full_parity
+        if not all(
+            _column_parity_ok(col, n, sign, mode) for col in cols if len(col) == n
+        ):
+            return False
+    return all(
+        _pair_ok(cols[j], cols[j + 1], lie_type, n, config)
+        for j in range(len(cols) - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -610,29 +707,6 @@ def _admissible_columns(lie_type: str, n: int, h: int) -> tuple[tuple[int, ...],
     return tuple(out)
 
 
-def _columns_compatible(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    lie_type: str,
-    n: int,
-    config: KNConfig,
-) -> bool:
-    if not all(
-        row_pair_ok(left[i], right[i], lie_type) for i in range(len(right))
-    ):
-        return False
-    if _pair_condition_violations(left, right, lie_type, n, config, 1):
-        return False
-    if lie_type in ("b", "d"):
-        if _band_condition_violations(left, right, lie_type, n, 1):
-            return False
-        if _overlap_condition_violations(left, right, lie_type, 1):
-            return False
-    if lie_type == "d" and _span_condition_violations(left, right, n, config, 1):
-        return False
-    return True
-
-
 def _tableau_from_columns(
     signed: tuple[int, ...],
     chosen: Sequence[tuple[int, ...]],
@@ -644,7 +718,7 @@ def _tableau_from_columns(
         tuple(chosen[j][i - 1] for j in range(widths[i - 1]))
         for i in range(1, len(widths) + 1)
     )
-    return KNTableau(signed, rows, lie_type, n)
+    return KNTableau._trusted(signed, rows, lie_type, n)
 
 
 def enumerate_kn(
@@ -673,6 +747,10 @@ def enumerate_kn(
                 c for c in cols if _column_parity_ok(c, n, sign, config.full_parity)
             )
         candidates.append(cols)
+    # Per call: for each pair of adjacent heights, the columns that may
+    # follow a given left column, computed the first time that column
+    # appears on the left.
+    followers: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
     results: list[KNTableau] = []
 
     def extend(j: int, chosen: list[tuple[int, ...]]) -> None:
@@ -683,11 +761,22 @@ def enumerate_kn(
                 )
             results.append(_tableau_from_columns(signed, chosen, lie_type, n))
             return
-        for col in candidates[j]:
-            if j == 0 or _columns_compatible(chosen[-1], col, lie_type, n, config):
-                chosen.append(col)
-                extend(j + 1, chosen)
-                chosen.pop()
+        if j == 0:
+            options = candidates[0]
+        else:
+            left = chosen[-1]
+            table = followers.setdefault((heights[j - 1], heights[j]), {})
+            options = table.get(left)
+            if options is None:
+                options = table[left] = [
+                    col
+                    for col in candidates[j]
+                    if _columns_compatible(left, col, lie_type, n, config)
+                ]
+        for col in options:
+            chosen.append(col)
+            extend(j + 1, chosen)
+            chosen.pop()
 
     extend(0, [])
     results.sort(key=lambda t: t.rows)
@@ -698,7 +787,9 @@ def enumerate_kn(
 # spinor column pairs
 
 
-@dataclass(frozen=True)
+# Slotted: the frame generators build hundreds of thousands of pairs, and
+# without a per-instance dict each one takes about half the memory.
+@dataclass(frozen=True, slots=True)
 class SpinorColumnPair:
     """Two strictly increasing columns of positive integers on a skew frame.
 
@@ -738,15 +829,33 @@ class SpinorColumnPair:
                     f"entry {right[b + i]}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, a: int, b: int, c: int, left: tuple[int, ...], right: tuple[int, ...]
+    ) -> "SpinorColumnPair":
+        """Build from int tuples already known to form a valid pair.
+
+        Callers are the frame generators, whose columns are strictly
+        increasing positive combinations and whose row condition they test;
+        the public constructor keeps validating.
+        """
+        pair = object.__new__(cls)
+        put = object.__setattr__
+        put(pair, "a", a)
+        put(pair, "b", b)
+        put(pair, "c", c)
+        put(pair, "left", left)
+        put(pair, "right", right)
+        return pair
+
     def size(self) -> int:
         return self.a + self.b + 2 * self.c
 
     def entry_counts(self, nvars: int) -> tuple[int, ...]:
         """How often each of 1..nvars appears; entries must not exceed nvars."""
         counts = [0] * nvars
-        for col in (self.left, self.right):
-            for x in col:
-                counts[x - 1] += 1
+        for x in self.left + self.right:
+            counts[x - 1] += 1
         return tuple(counts)
 
     def __str__(self) -> str:
@@ -769,15 +878,50 @@ def residue(T: SpinorColumnPair) -> int:
 
     Sliding by k moves the right column to rows 1+k..b+c+k; the slide is
     allowed while k stays at most min(a, b) and every overlapping row still
-    weakly increases.
+    weakly increases, i.e. left[i] <= right[b-k+i] for i < c+k.
     """
     for k in range(min(T.a, T.b), -1, -1):
-        if all(
-            T.left[r - T.b - 1] <= T.right[r - k - 1]
-            for r in range(T.b + 1, T.b + T.c + k + 1)
-        ):
+        if all(map(operator.le, T.left[: T.c + k], T.right[T.b - k :])):
             return k
     raise AssertionError("the zero slide is semistandard by construction")
+
+
+def _sst_pairs(
+    a: int, b: int, c: int, max_entry: int, max_residue: int | None = None
+) -> list[SpinorColumnPair]:
+    """The fillings of the (a, b, c) frame with entries in 1..max_entry, in
+    (left, right) order; with max_residue, only those of residue at most it.
+
+    Slide feasibility is monotone in the slide, so residue <= r exactly when
+    r >= min(a, b) or the slide by r+1 fails; a pair is rejected on that
+    test before it is built.
+    """
+    if a + c > max_entry or b + c > max_entry:
+        return []
+    entries = range(1, max_entry + 1)
+    k = None
+    if max_residue is not None and max_residue < min(a, b):
+        k = max_residue + 1
+    # right[b:] meets the left column at the zero slide, right[b-k:] at slide k
+    rights = [
+        (right, right[b:], right[b - k :] if k else ())
+        for right in itertools.combinations(entries, b + c)
+    ]
+    le, make = operator.le, SpinorColumnPair._trusted
+    out: list[SpinorColumnPair] = []
+    for left in itertools.combinations(entries, a + c):
+        top = left[:c]
+        if k is None:
+            kept = [right for right, mid, _ in rights if all(map(le, top, mid))]
+        else:
+            reach = left[: c + k]
+            kept = [
+                right
+                for right, mid, slid in rights
+                if all(map(le, top, mid)) and not all(map(le, reach, slid))
+            ]
+        out.extend([make(a, b, c, left, right) for right in kept])
+    return out
 
 
 def enumerate_sst_pairs(
@@ -786,15 +930,7 @@ def enumerate_sst_pairs(
     """All fillings of the (a, b, c) frame with entries in 1..max_entry."""
     if min(a, b, c) < 0:
         raise ValueError("column frame parameters must be nonnegative")
-    if a + c > max_entry or b + c > max_entry:
-        return ()
-    out = []
-    rights = list(itertools.combinations(range(1, max_entry + 1), b + c))
-    for left in itertools.combinations(range(1, max_entry + 1), a + c):
-        for right in rights:
-            if all(left[i] <= right[b + i] for i in range(c)):
-                out.append(SpinorColumnPair(a, b, c, left, right))
-    return tuple(out)
+    return tuple(_sst_pairs(a, b, c, max_entry))
 
 
 def _frame_grid(lie_type: str, a: int, max_degree: int) -> Iterator[tuple[int, int]]:
@@ -818,28 +954,26 @@ def enumerate_spinor_columns(
 
     The frame grid and the residue bound depend on the type: the symplectic
     case allows only b = 0, the odd orthogonal case any frame, and the even
-    orthogonal case even b and c with residue at most 1 instead of 0.
+    orthogonal case even b and c with residue at most 1 instead of 0.  The
+    result is sorted by (b, c, left, right): frames come in (b, c) order and
+    each frame in (left, right) order.
     """
     check_lie_type(lie_type)
     if a < 0:
         raise ValueError("the left-column excess must be nonnegative")
-    out = []
+    out: list[SpinorColumnPair] = []
     for b, c in _frame_grid(lie_type, a, max_degree):
-        for T in enumerate_sst_pairs(a, b, c, max_degree):
-            if residue(T) <= _max_residue(lie_type):
-                out.append(T)
-    out.sort(key=lambda t: (t.b, t.c, t.left, t.right))
+        out.extend(_sst_pairs(a, b, c, max_degree, _max_residue(lie_type)))
     return tuple(out)
 
 
 def enumerate_spinor_columns_barred(max_degree: int) -> tuple[SpinorColumnPair, ...]:
     """The even orthogonal companion family at excess zero: frames (0, b, c+1)
     with b and c even, so the right-column excess is odd and the empty pair
-    never occurs."""
-    out = []
+    never occurs.  Sorted by (b, c, left, right), the generation order."""
+    out: list[SpinorColumnPair] = []
     for b in range(0, max_degree + 1, 2):
         for c in range(0, max_degree + 1, 2):
             if b + 2 * (c + 1) <= max_degree:
-                out.extend(enumerate_sst_pairs(0, b, c + 1, max_degree))
-    out.sort(key=lambda t: (t.b, t.c, t.left, t.right))
+                out.extend(_sst_pairs(0, b, c + 1, max_degree))
     return tuple(out)

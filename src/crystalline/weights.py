@@ -355,8 +355,14 @@ def decompose_weight(w: Weight, lie_type: str) -> tuple[Weight, Weight, Weight]:
     nuplus = Weight((*head, *upper), tail)
     p = len(head) + len(upper)
     nu0 = Weight(tuple([0] * p + [v - tail for v in lower]), 0)
-    assert nuplus + nu0 == nu
-    assert is_dominant(nuplus, lie_type), (w, nuplus, lie_type)
+    if nuplus + nu0 != nu:
+        raise RuntimeError(
+            f"decomposition of {w}: {nuplus} + {nu0} does not give {nu}"
+        )
+    if not is_dominant(nuplus, lie_type):
+        raise RuntimeError(
+            f"decomposition of {w}: {nuplus} is not dominant in type {lie_type}"
+        )
     return nu, nu0, nuplus
 
 

@@ -1,9 +1,13 @@
 """End-to-end command-line tests driving main() with captured output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import crystalline
 from crystalline.cli import main
 from crystalline.crystal import build_graph
 from crystalline.tableaux import t_lambda
@@ -251,3 +255,32 @@ def test_groth_noncommutativity_visible(capsys):
     _, zh, _ = run(capsys, "groth", "z:1 * h:1", "--type", "c")
     assert hz != zh
     assert zh == "[1 | 1@1]\n"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract on malformed input, through a real interpreter
+
+
+MALFORMED = [
+    ("enumerate", "--type", "c", "--rank", "3", "--shape", "1,2"),
+    ("enumerate", "--type", "c", "--rank", "2", "--shape", "1,1,1"),
+    ("enumerate", "--type", "c", "--rank", "-1", "--shape", "1"),
+    ("graph", "--type", "c", "--rank", "3", "--shape", "1,2"),
+    ("graph", "--type", "d", "--rank", "1", "--shape", "1"),
+    ("groth", "h:1*z:1", "--degree", "-5"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_with_one_line(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalline.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr

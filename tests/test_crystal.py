@@ -1,8 +1,16 @@
 """Tests for crystal operators, graph generation and stabilized decompositions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import crystalline
+from crystalline import crystal
 from crystalline.crystal import (
+    CrystalClosureError,
     CrystalElement,
     TensorFactor,
     build_graph,
@@ -208,6 +216,49 @@ def test_default_reading_order_closes_the_two_cell_row():
     assert len(g.sources()) == 1
     with pytest.raises(AssertionError):
         build_graph(T, order="left")
+
+
+def test_reading_positions_memo_is_keyed_by_shape_and_order():
+    assert reading_positions([2, 1]) == reading_positions((2, 1), "right")
+    assert reading_positions((2, 1), "left") != reading_positions((2, 1), "right")
+    with pytest.raises(ValueError):
+        reading_positions((2, 1), "diagonal")
+
+
+def test_tableau_op_raises_when_an_output_breaks_the_rules(monkeypatch):
+    T = t_lambda((2, 1), "c", 3)
+    lowered = tableau_op(T, "f", 1)
+    assert lowered.rows == ((1, 2), (2,))
+    monkeypatch.setattr(crystal, "kn_validate", lambda *args, **kwargs: False)
+    with pytest.raises(CrystalClosureError) as info:
+        tableau_op(T, "f", 1)
+    err = info.value
+    assert (err.tableau, err.op, err.index, err.result) == (T, "f", 1, lowered)
+    # an operator that does not apply produces nothing to check
+    assert tableau_op(T, "e", 1) is None
+
+
+def test_tableau_op_check_holds_under_optimize():
+    script = textwrap.dedent(
+        """
+        import crystalline.crystal as crystal
+        from crystalline.tableaux import t_lambda
+
+        crystal.kn_validate = lambda *args, **kwargs: False
+        try:
+            crystal.tableau_op(t_lambda((2, 1), "c", 3), "f", 1)
+        except crystal.CrystalClosureError as err:
+            print("raised", err.op, err.index, __debug__)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised f 1 False"
 
 
 def test_tableau_op_rejects_unknown_operator_names():

@@ -14,6 +14,9 @@ from crystalline.symfunc import (
     spinor_char_barred,
 )
 from crystalline.tableaux import (
+    _frame_grid,
+    _max_residue,
+    _sst_pairs,
     DEFAULT_CONFIG,
     KNConfig,
     KNTableau,
@@ -105,6 +108,14 @@ def sweep_shapes(n: int, lie_type: str, budget: int) -> list[tuple[int, ...]]:
 
 def signed_shapes(n: int, budget: int) -> list[tuple[int, ...]]:
     return [s for s in sweep_shapes(n, "d", budget) if s and s[-1] < 0]
+
+
+def from_columns(shape, columns, lie_type, n) -> KNTableau:
+    widths = [abs(x) for x in shape]
+    rows = tuple(
+        tuple(columns[j][i] for j in range(width)) for i, width in enumerate(widths)
+    )
+    return KNTableau(tuple(shape), rows, lie_type, n)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +505,65 @@ def test_full_parity_reading_swaps_families_at_odd_rank():
     }
 
 
+# Every reading of the flagged rules: the default and each alternative value.
+ALL_READINGS = (
+    DEFAULT_CONFIG,
+    KNConfig(pair_scope="mixed"),
+    KNConfig(sign_span="qs"),
+    KNConfig(sign_span="pr"),
+    KNConfig(full_parity="depth"),
+)
+
+def check_shapes(lie_type: str, n: int) -> list[tuple[int, ...]]:
+    """Small shapes whose column products are checked in full; they include
+    the shapes on which each flagged reading changes a verdict."""
+    shapes = {
+        2: [(2,), (1, 1), (2, 1), (2, 2), (3, 1)],
+        3: [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2)],
+        4: [(2, 1), (1, 1, 1, 1), (2, 1, 1)],
+    }[n]
+    if lie_type == "d":
+        shapes += {
+            2: [(1, -1), (2, -1), (2, -2)],
+            3: [(1, 1, -1), (2, 1, -1)],
+            4: [(1, 1, 1, -1)],
+        }[n]
+    if (lie_type, n) == ("c", 4):
+        shapes.append((2, 2, 2, 2))
+    return shapes
+
+
+def test_boolean_check_matches_violation_reports():
+    # every column-product candidate, rejected ones included: at rank 2 the
+    # columns are all letter strings, so column-order failures occur too
+    differs = set()
+    for lie_type in ("b", "c", "d"):
+        for n in (2, 3, 4):
+            for shape in check_shapes(lie_type, n):
+                heights = conjugate(tuple(abs(x) for x in shape))
+                if n == 2:
+                    cands = [
+                        list(itertools.product(alphabet(lie_type, n), repeat=h))
+                        for h in heights
+                    ]
+                else:
+                    cands = [all_columns(lie_type, n, h) for h in heights]
+                accepted = {config: set() for config in ALL_READINGS}
+                for columns in itertools.product(*cands):
+                    T = from_columns(shape, columns, lie_type, n)
+                    for config in ALL_READINGS:
+                        ok = not kn_violations(T, config)
+                        assert kn_validate(T, config) == ok, (T, config)
+                        if ok:
+                            accepted[config].add(T.rows)
+                for config, rows in accepted.items():
+                    enumerated = {t.rows for t in enumerate_kn(shape, lie_type, n, config)}
+                    assert enumerated == rows, (lie_type, n, shape, config)
+                    if rows != accepted[DEFAULT_CONFIG]:
+                        differs.add(config)
+    assert differs == set(ALL_READINGS[1:])
+
+
 # ---------------------------------------------------------------------------
 # spinor column pairs
 
@@ -551,6 +621,54 @@ def test_residue_strata_partition_and_characters():
                     )
                     lam = conjugate((a + b + c - k, c + k))
                     assert got == schur_poly(lam, m), (a, b, c, k)
+
+
+def test_pruned_frames_match_the_residue_filter():
+    for lie_type in ("b", "c", "d"):
+        bound = _max_residue(lie_type)
+        for a in range(5):
+            for D in range(9):
+                for b, c in _frame_grid(lie_type, a, D):
+                    want = [
+                        T for T in enumerate_sst_pairs(a, b, c, D) if residue(T) <= bound
+                    ]
+                    assert _sst_pairs(a, b, c, D, bound) == want, (lie_type, a, b, c, D)
+
+
+def test_spinor_families_are_sorted_frame_unions():
+    def key(T):
+        return (T.b, T.c, T.left, T.right)
+
+    D = 7
+    for lie_type in ("b", "c", "d"):
+        bound = _max_residue(lie_type)
+        for a in range(3):
+            got = enumerate_spinor_columns(a, lie_type, D)
+            want = [
+                T
+                for b, c in _frame_grid(lie_type, a, D)
+                for T in enumerate_sst_pairs(a, b, c, D)
+                if residue(T) <= bound
+            ]
+            assert list(got) == sorted(want, key=key), (lie_type, a)
+    barred = enumerate_spinor_columns_barred(D)
+    assert list(barred) == sorted(barred, key=key)
+
+
+def test_generated_pairs_equal_publicly_constructed_ones():
+    D = 5
+    for a, b, c in itertools.product(range(3), repeat=3):
+        public = []
+        for left in itertools.combinations(range(1, D + 1), a + c):
+            for right in itertools.combinations(range(1, D + 1), b + c):
+                try:
+                    public.append(SpinorColumnPair(a, b, c, left, right))
+                except ValueError:
+                    continue
+        generated = enumerate_sst_pairs(a, b, c, D)
+        assert list(generated) == public, (a, b, c)
+        assert [hash(T) for T in generated] == [hash(T) for T in public]
+        assert [repr(T) for T in generated] == [repr(T) for T in public]
 
 
 def test_empty_frame():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from crystalline import weights
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
@@ -297,6 +298,20 @@ def test_decompose_worked_example_even_orthogonal():
 def test_decompose_level_zero_convention():
     w = Weight((2, -1), 0)
     assert decompose_weight(w, "c") == (w, w, Weight())
+
+
+def test_decompose_reports_broken_invariants(monkeypatch):
+    # both checks raise explicitly, so they also hold under python -O
+    w = Weight((-2, -4, 1, -7, -5, 4, 0), -4)
+    with monkeypatch.context() as patch:
+        patch.setattr(weights, "is_dominant", lambda *args: False)
+        with pytest.raises(RuntimeError, match="is not dominant"):
+            decompose_weight(w, "c")
+    with monkeypatch.context() as patch:
+        patch.setattr(Weight, "__add__", lambda self, other: Weight((1,), 0))
+        with pytest.raises(RuntimeError, match="does not give"):
+            decompose_weight(w, "c")
+    assert decompose_weight(w, "c")[2] == Weight((0, -1, -2), -4)
 
 
 def test_decompose_properties_random():
