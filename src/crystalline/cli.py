@@ -21,7 +21,7 @@ import json
 import sys
 from collections.abc import Callable, Sequence
 
-from crystalline.crystal import build_graph
+from crystalline.crystal import DEFAULT_MAX_VERTICES, build_graph
 from crystalline.grothendieck import (
     GrothElement,
     a_z,
@@ -67,7 +67,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-DEFAULT_MAX_VERTICES = 1_000_000
 DEFAULT_MAX_DEGREE = 10
 DEFAULT_MAX_RANK = 6
 
@@ -484,6 +483,12 @@ def cmd_verify(args) -> int:
         known = ", ".join(sorted(set(VERIFY_SUITES) - {"psi"}))
         sys.stderr.write(f"unknown identity {args.identity!r}; known: {known}\n")
         return EXIT_USAGE
+    check_rank(args.rank)
+    for flag, value, minimum in (
+        ("--degree", args.degree, 0), ("--ell", args.ell, 1), ("--lam", args.lam, 0)
+    ):
+        if value < minimum:
+            raise CliError(f"{flag} must be at least {minimum}, not {value}")
     if args.degree > args.max_degree:
         raise ResourceCapError(
             f"--degree {args.degree} exceeds --max-degree {args.max_degree}"
@@ -491,10 +496,6 @@ def cmd_verify(args) -> int:
     if args.rank > args.max_rank:
         raise ResourceCapError(f"--rank {args.rank} exceeds --max-rank {args.max_rank}")
     lines = []
-    if args.seed is not None:
-        # the bundled suites are exhaustive; the seed is recorded so reports
-        # stay comparable if sampled suites appear later
-        lines.append(f"seed: {args.seed}")
     results = VERIFY_SUITES[args.identity](args)
     failures = 0
     for name, ok, detail in results:
@@ -651,11 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--shape", help="single shape for jt-character")
     p_verify.add_argument(
         "--shape-ell", type=int, help="level for the single jt-character shape"
-    )
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        help="recorded in the report; the bundled suites are exhaustive",
     )
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)

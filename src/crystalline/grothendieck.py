@@ -38,7 +38,6 @@ the scans.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -52,6 +51,7 @@ from crystalline.symfunc import (
     lr_expand,
     s_g_series,
     schur_basis,
+    type_determinant,
 )
 from crystalline.weights import (
     DominantShape,
@@ -169,6 +169,15 @@ class GrothElement:
         return GrothElement(
             self.lie_type,
             {k: c * v for k, v in self.terms.items()},
+            self.through_degree,
+        )
+
+    def half(self) -> "GrothElement":
+        if any(c % 2 for c in self.terms.values()):
+            raise ArithmeticError("element has an odd coefficient, cannot halve")
+        return GrothElement(
+            self.lie_type,
+            {k: c // 2 for k, c in self.terms.items()},
             self.through_degree,
         )
 
@@ -449,99 +458,55 @@ def level_determinant(
 
     Expresses the dominant class of the shape as the determinant in one
     row classes, whose expansion telescopes back to the single class
-    inside the window.  Entries with negative index resolve per type:
-    symplectic H_{-1} = 0 and H_{-r} = -H_{r-2}; odd orthogonal
-    H_{-r} = H_{r-1}; even orthogonal H_{-r} = H_r with the index-zero
-    entry standing for H_0 + Hbar_0, and the shapes shorter or taller
-    than the level taking halved corrections by (H_0 - Hbar_0) times the
+    inside the window.  Entries with negative index resolve per type (see
+    :func:`_row_entry`); the even orthogonal shapes shorter or taller than
+    the level take halved corrections by (H_0 - Hbar_0) times the
     symplectic-style determinant one level down.
     """
     lie_type = shape.lie_type
     if through_degree is None:
         through_degree = sum(shape.lam) + 4
-    if shape.ell == 0:
-        return groth_one(lie_type)
-    if lie_type in ("b", "c"):
-        return _ring_h_det(shape, lie_type, through_degree)
-    t = len(shape.lam)
-    if t == shape.ell:
-        return _ring_h_det(shape, "d", through_degree)
-    sign = 1 if t < shape.ell else -1
-    mu = shape.lam if t < shape.ell else make_partition(shape.lam[: 2 * shape.ell - t])
-    det = _ring_h_det(DominantShape("d", mu, shape.ell), "d", through_degree)
-    low = DominantShape("d", mu, shape.ell - 1)
-    corr = groth_mul(
-        row_class("d", 0) - barred_class(),
-        _ring_h_det(low, "c-in-d", through_degree),
-        through_degree,
+
+    def h(lie: str, a: int) -> GrothElement:
+        return GrothElement(lie, row_class(lie, a).terms, through_degree)
+
+    def hbar() -> GrothElement:
+        return GrothElement("d", barred_class().terms, through_degree)
+
+    zero = GrothElement(lie_type, {}, through_degree)
+    return type_determinant(
+        shape,
+        lambda r, flavor: _row_entry(r, flavor, lie_type, h, hbar, zero),
+        zero,
+        groth_one(lie_type),
+        lambda: h("d", 0) - hbar(),
     )
-    return _halve(det + corr.scale(sign))
 
 
-def _ring_entry(index: int, resolution: str) -> GrothElement:
-    if resolution == "c":
+def _row_entry(index: int, flavor: str, lie_type: str, h, hbar, zero):
+    """Entry H_index of a level determinant in the row generators h(lie_type, a).
+
+    Negative indices resolve per type: symplectic H_{-1} = 0 and
+    H_{-r} = -H_{r-2}; odd orthogonal H_{-r} = H_{r-1}; even orthogonal
+    H_{-r} = H_r with the index-zero entry standing for H_0 + Hbar_0.  The
+    prime flavor inside the even orthogonal type is the difference of two
+    plain entries, mirroring the series flavor E'_r = E_r - E_{r+2}.
+    """
+    if lie_type == "d" and flavor == "prime":
+        return _row_entry(index, "plain", "d", h, hbar, zero) - _row_entry(
+            index + 2, "plain", "d", h, hbar, zero
+        )
+    if lie_type == "c":
         if index >= 0:
-            return row_class("c", index)
+            return h("c", index)
         if index == -1:
-            return GrothElement("c")
-        return _ring_entry(-index - 2, "c").scale(-1)
-    if resolution == "c-in-d":
-        # the symplectic-style entry inside the even orthogonal type is a
-        # difference of two plain entries, mirroring the series flavor
-        return _ring_entry(index, "d") - _ring_entry(index + 2, "d")
-    if resolution == "b":
-        return row_class("b", index if index >= 0 else -index - 1)
-    if index > 0:
-        return row_class("d", index)
+            return zero
+        return h("c", -index - 2).scale(-1)
+    if lie_type == "b":
+        return h("b", index if index >= 0 else -index - 1)
     if index == 0:
-        return row_class("d", 0) + barred_class()
-    return row_class("d", -index)
-
-
-def _det_bases(lam: Sequence[int], ell: int) -> list[int]:
-    """Base index of each determinant row: row i reads the (ell-i+1)-th part
-    plus i-1; the j-th column pairs base+(j-1) with base-(j-1) off column one."""
-    padded = tuple(lam) + (0,) * (ell - len(lam))
-    return [padded[ell - i] + (i - 1) for i in range(1, ell + 1)]
-
-
-def _ring_h_det(
-    shape: DominantShape, resolution: str, through_degree: int
-) -> GrothElement:
-    lie_type = "d" if resolution in ("d", "c-in-d") else resolution
-    ell = shape.ell
-    if ell == 0:
-        return groth_one(lie_type)
-    bases = _det_bases(shape.lam, ell)
-    total = GrothElement(lie_type, {}, through_degree)
-    for perm in itertools.permutations(range(ell)):
-        sign = _perm_sign(perm)
-        factor = groth_one(lie_type)
-        for i in range(ell):
-            j = perm[i]
-            entry = _ring_entry(bases[i] + j, resolution)
-            if j:
-                entry = entry + _ring_entry(bases[i] - j, resolution)
-            factor = groth_mul(factor, entry, through_degree)
-        total = total + factor.scale(sign)
-    return total
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _halve(x: GrothElement) -> GrothElement:
-    if any(c % 2 for c in x.terms.values()):
-        raise ArithmeticError("element has an odd coefficient, cannot halve")
-    return GrothElement(
-        x.lie_type, {k: c // 2 for k, c in x.terms.items()}, x.through_degree
-    )
+        return h("d", 0) + hbar()
+    return h("d", abs(index))
 
 
 def structure_constant(
@@ -605,7 +570,10 @@ class StructureCache:
     """Persistent string-keyed cache of structure constants.
 
     The path comes from the environment variable CRYSTALLINE_CACHE when
-    set; without it the cache lives in memory only.
+    set; without it the cache lives in memory only.  A file that does not
+    parse as a map from strings to integers (say, one cut short by a
+    crash) opens as an empty cache, and every write replaces the file
+    whole, so a crash mid-write leaves the previous file intact.
     """
 
     def __init__(self, path: str | None = None):
@@ -615,7 +583,12 @@ class StructureCache:
         self.data: dict[str, int] = {}
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                self.data = {str(k): int(v) for k, v in json.load(fh).items()}
+                try:
+                    loaded = json.load(fh)
+                except ValueError:
+                    loaded = None
+            if isinstance(loaded, dict) and all(type(v) is int for v in loaded.values()):
+                self.data = loaded
 
     def get(self, key: str) -> int | None:
         return self.data.get(key)
@@ -623,8 +596,14 @@ class StructureCache:
     def put(self, key: str, value: int) -> None:
         self.data[key] = value
         if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                json.dump(self.data, fh, indent=0, sort_keys=True)
+            tmp = f"{self.path}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    json.dump(self.data, fh, indent=0, sort_keys=True)
+                os.replace(tmp, self.path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +694,11 @@ class AElement:
 
     def scale(self, c: int) -> "AElement":
         return AElement(self.lie_type, {k: c * v for k, v in self.terms.items()})
+
+    def half(self) -> "AElement":
+        if any(c % 2 for c in self.terms.values()):
+            raise ArithmeticError("element has an odd coefficient, cannot halve")
+        return AElement(self.lie_type, {k: c // 2 for k, c in self.terms.items()})
 
     def __mul__(self, other: "AElement") -> "AElement":
         self._check(other)
@@ -880,63 +864,14 @@ def psi_zero(lie_type: str, mu: Sequence[int]) -> AElement:
 
 def psi_plus(kappa: DominantShape) -> AElement:
     """Dominant classes as row polynomials by the level determinant."""
-    lie_type = kappa.lie_type
-    if kappa.ell == 0:
-        return a_one(lie_type)
-    if lie_type in ("b", "c"):
-        return _a_h_det(kappa, lie_type)
-    t = len(kappa.lam)
-    if t == kappa.ell:
-        return _a_h_det(kappa, "d")
-    sign = 1 if t < kappa.ell else -1
-    mu = kappa.lam if t < kappa.ell else make_partition(kappa.lam[: 2 * kappa.ell - t])
-    det = _a_h_det(DominantShape("d", mu, kappa.ell), "d")
-    low = DominantShape("d", mu, kappa.ell - 1)
-    corr = (a_h("d", 0) - a_hbar()) * _a_h_det(low, "c-in-d")
-    return _a_halve(det + corr.scale(sign))
-
-
-def _a_entry(index: int, resolution: str) -> AElement:
-    if resolution == "c":
-        if index >= 0:
-            return a_h("c", index)
-        if index == -1:
-            return AElement("c")
-        return _a_entry(-index - 2, "c").scale(-1)
-    if resolution == "c-in-d":
-        # difference of two plain entries, mirroring the series flavor
-        return _a_entry(index, "d") - _a_entry(index + 2, "d")
-    if resolution == "b":
-        return a_h("b", index if index >= 0 else -index - 1)
-    if index > 0:
-        return a_h("d", index)
-    if index == 0:
-        return a_h("d", 0) + a_hbar()
-    return a_h("d", -index)
-
-
-def _a_h_det(shape: DominantShape, resolution: str) -> AElement:
-    lie_type = "d" if resolution in ("d", "c-in-d") else resolution
-    ell = shape.ell
-    if ell == 0:
-        return a_one(lie_type)
-    bases = _det_bases(shape.lam, ell)
-    matrix = []
-    for i in range(ell):
-        row = []
-        for j in range(ell):
-            entry = _a_entry(bases[i] + j, resolution)
-            if j:
-                entry = entry + _a_entry(bases[i] - j, resolution)
-            row.append(entry)
-        matrix.append(row)
-    return determinant(matrix, AElement(lie_type))
-
-
-def _a_halve(x: AElement) -> AElement:
-    if any(c % 2 for c in x.terms.values()):
-        raise ArithmeticError("element has an odd coefficient, cannot halve")
-    return AElement(x.lie_type, {k: c // 2 for k, c in x.terms.items()})
+    zero = AElement(kappa.lie_type)
+    return type_determinant(
+        kappa,
+        lambda r, flavor: _row_entry(r, flavor, kappa.lie_type, a_h, a_hbar, zero),
+        zero,
+        a_one(kappa.lie_type),
+        lambda: a_h("d", 0) - a_hbar(),
+    )
 
 
 def psi(x: GrothElement) -> AElement:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from crystalline.weights import (
     DominantShape,
@@ -408,58 +408,90 @@ def spinor_char_barred(cutoff: int) -> SchurSeries:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi-Trudi determinants in the completed ring
+# Jacobi-Trudi determinants, shared by the series, the ring and the algebra
+
+
+def _reflected_det(bases: Sequence[int], entry: Callable, zero):
+    """det of the matrix whose row i, column j entry is E_{b_i+j} + [j != 0] E_{b_i-j},
+    for ``entry(r)`` = E_r, built and multiplied in one order for every ring."""
+    size = len(bases)
+    matrix = [
+        [entry(b + j) + entry(b - j) if j else entry(b) for j in range(size)]
+        for b in bases
+    ]
+    return determinant(matrix, zero)
+
+
+def _level_det(lam: Sequence[int], ell: int, entry: Callable, zero, one):
+    """The reflected determinant of (lam, ell), row i based at lam_{ell-i+1} + i - 1."""
+    if ell == 0:
+        return one
+    padded = tuple(lam) + (0,) * (ell - len(lam))
+    return _reflected_det(
+        [padded[ell - i] + i - 1 for i in range(1, ell + 1)], entry, zero
+    )
+
+
+def type_determinant(
+    shape: DominantShape, entry: Callable, zero, one, correction: Callable
+):
+    """The type-adapted level determinant of a dominant shape, in any ring.
+
+    ``entry(r, flavor)`` is the ring's E_r, E'_r or E''_r (flavor plain,
+    prime or second), and ``correction()`` the factor of the even
+    orthogonal half-sums, called only when one is needed.  Symplectic
+    shapes take the prime determinant, odd orthogonal ones the second.
+    Even orthogonal shapes branch on t = number of rows against ell: the
+    plain determinant at t = ell, else the half-sum (plain +- correction *
+    prime one level down), + for t < ell; for t > ell both determinants
+    keep the first 2 ell - t rows.  An odd coefficient raises ArithmeticError.
+    """
+    lam, ell = shape.lam, shape.ell
+
+    def det(rows: Sequence[int], size: int, flavor: str):
+        return _level_det(rows, size, lambda r: entry(r, flavor), zero, one)
+
+    if shape.lie_type == "c":
+        return det(lam, ell, "prime")
+    if shape.lie_type == "b":
+        return det(lam, ell, "second")
+    t = len(lam)
+    if t == ell:
+        return det(lam, ell, "plain")
+    mu = lam if t < ell else make_partition(lam[: 2 * ell - t])
+    plain = det(mu, ell, "plain")
+    low = correction() * det(mu, ell - 1, "prime")
+    return (plain + low if t < ell else plain - low).half()
 
 
 def jt_determinant(shape: DominantShape, flavor: str, cutoff: int) -> SchurSeries:
-    """The ell x ell determinant with E-flavor entries for (lam, ell).
-
-    Row i is based at lam_{ell-i+1} + i - 1 (lam zero-padded); column j
-    adds the reflected index, entry E_{base+(j-1)} + [j != 1] E_{base-(j-1)}.
-    """
+    """The ell x ell determinant with E-flavor entries for (lam, ell): row i
+    is based at b = lam_{ell-i+1} + i - 1, column j holds E_{b+j} + [j != 0] E_{b-j}."""
     lam, ell = shape.lam, shape.ell
     if len(lam) > ell:
         raise InvalidShapeError("determinant requires at most ell rows")
-    if ell == 0:
-        return one_series(cutoff)
-    padded = tuple(lam) + (0,) * (ell - len(lam))
-    matrix = []
-    for i in range(1, ell + 1):
-        base = padded[ell - i] + i - 1
-        row = []
-        for j in range(1, ell + 1):
-            entry = cap_e_variant(base + (j - 1), flavor, cutoff)
-            if j != 1:
-                entry = entry + cap_e_variant(base - (j - 1), flavor, cutoff)
-            row.append(entry)
-        matrix.append(row)
-    return determinant(matrix, zero_series(cutoff))
+    return _level_det(
+        lam,
+        ell,
+        lambda r: cap_e_variant(r, flavor, cutoff),
+        zero_series(cutoff),
+        one_series(cutoff),
+    )
 
 
 def s_g_series(shape: DominantShape, cutoff: int) -> SchurSeries:
     """The type-adapted series S for a dominant shape (t power zero).
 
-    Symplectic and odd orthogonal shapes take the prime and double-prime
-    determinants.  Even orthogonal shapes branch on t = number of rows
-    against ell, the off-diagonal branches being half-sums whose integrality
-    is asserted.
+    :func:`type_determinant` over E-flavor series, the even orthogonal
+    correction being the alternating e product.
     """
-    lam, ell = shape.lam, shape.ell
-    if shape.lie_type == "c":
-        return jt_determinant(shape, "prime", cutoff)
-    if shape.lie_type == "b":
-        return jt_determinant(shape, "second", cutoff)
-    t = len(lam)
-    if t == ell:
-        return jt_determinant(shape, "plain", cutoff)
-    if t < ell:
-        plain = jt_determinant(shape, "plain", cutoff)
-        prime = jt_determinant(DominantShape("d", lam, ell - 1), "prime", cutoff)
-        return (plain + schur_mul(alternating_e_product(cutoff), prime)).half()
-    mu = make_partition(lam[: 2 * ell - t])
-    plain = jt_determinant(DominantShape("d", mu, ell), "plain", cutoff)
-    prime = jt_determinant(DominantShape("d", mu, ell - 1), "prime", cutoff)
-    return (plain - schur_mul(alternating_e_product(cutoff), prime)).half()
+    return type_determinant(
+        shape,
+        lambda r, flavor: cap_e_variant(r, flavor, cutoff),
+        zero_series(cutoff),
+        one_series(cutoff),
+        lambda: alternating_e_product(cutoff),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -640,17 +672,11 @@ def elementary_variant(r: int, flavor: str, letters, nvars: int) -> LaurentPoly:
 def _sigma_det(mu: Partition, flavor: str, letters, n: int) -> LaurentPoly:
     """det(e-flavor entries) with row base mu_i - i + 1, size n x n."""
     padded = tuple(mu) + (0,) * (n - len(mu))
-    matrix = []
-    for i in range(1, n + 1):
-        base = padded[i - 1] - i + 1
-        row = []
-        for j in range(1, n + 1):
-            entry = elementary_variant(base + (j - 1), flavor, letters, n)
-            if j != 1:
-                entry = entry + elementary_variant(base - (j - 1), flavor, letters, n)
-            row.append(entry)
-        matrix.append(row)
-    return determinant(matrix, LaurentPoly.zero(n))
+    return _reflected_det(
+        [padded[i] - i for i in range(n)],
+        lambda r: elementary_variant(r, flavor, letters, n),
+        LaurentPoly.zero(n),
+    )
 
 
 def x_minus_inverse_product(n: int) -> LaurentPoly:
@@ -691,19 +717,14 @@ def sigma_char(shape: Sequence[int], lie_type: str, n: int) -> LaurentPoly:
     if mu and mu[0] > n:
         raise InvalidShapeError(f"first part {mu[0]} exceeds rank {n}")
     letters = pm_alphabet(lie_type, n)
-    if lie_type == "c":
-        return _sigma_det(conjugate(mu), "prime", letters, n)
-    if lie_type == "b":
-        return _sigma_det(conjugate(mu), "plain", letters, n)
-    if len(mu) < n:
-        return _sigma_det(conjugate(mu), "plain", letters, n)
-    plain = _sigma_det(conjugate(mu), "plain", letters, n)
+    flavor = "prime" if lie_type == "c" else "plain"
+    plain = _sigma_det(conjugate(mu), flavor, letters, n)
+    if lie_type != "d" or len(mu) < n:
+        return plain
     reduced = make_partition(tuple(p - 1 for p in mu))
     primed = _sigma_det(conjugate(reduced), "prime", letters, n)
     correction = primed * x_minus_inverse_product(n)
-    if negative_last:
-        return (plain - correction).half()
-    return (plain + correction).half()
+    return (plain - correction if negative_last else plain + correction).half()
 
 
 # ---------------------------------------------------------------------------

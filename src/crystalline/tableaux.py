@@ -122,10 +122,6 @@ def column_pair_ok(upper: int, lower: int, lie_type: str) -> bool:
     return not leq(lower, upper, lie_type)
 
 
-def _letter_str(x: int) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------------------
 # column admissibility
 
@@ -324,7 +320,7 @@ class KNTableau:
         rows_json = []
         for i, row in enumerate(self.rows, start=1):
             mark = "*" if colored and i == len(self.rows) else ""
-            rows_json.append([_letter_str(x) + mark for x in row])
+            rows_json.append([str(x) + mark for x in row])
         return {
             "type": self.lie_type.upper(),
             "rank": self.rank,

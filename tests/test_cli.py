@@ -178,13 +178,6 @@ def test_verify_reports_honest_failure(capsys):
     assert "1 failed" in out.strip().split("\n")[-1]
 
 
-def test_verify_seed_is_logged(capsys):
-    code, out, _ = run(capsys, "verify", "e-expansion", "--type", "c",
-                       "--seed", "7")
-    assert code == 0
-    assert out.startswith("seed: 7\n")
-
-
 def test_verify_caps(capsys):
     code, _, err = run(capsys, "verify", "e-expansion", "--degree", "99")
     assert code == 3
@@ -268,6 +261,10 @@ MALFORMED = [
     ("graph", "--type", "c", "--rank", "3", "--shape", "1,2"),
     ("graph", "--type", "d", "--rank", "1", "--shape", "1"),
     ("groth", "h:1*z:1", "--degree", "-5"),
+    ("verify", "laurent-bridge", "--rank", "-1"),
+    ("verify", "e-expansion", "--degree", "-3"),
+    ("verify", "laurent-bridge", "--ell", "0"),
+    ("verify", "laurent-bridge", "--lam", "-1"),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tests for the crystal-class ring and its rewriting-algebra realization."""
 
 import json
+import os
 
 import pytest
 
@@ -33,7 +34,7 @@ from crystalline.grothendieck import (
     structure_constant,
 )
 from crystalline.symfunc import lr_expand
-from crystalline.weights import DominantShape, InvalidShapeError
+from crystalline.weights import DominantShape, InvalidShapeError, partitions_of
 
 
 def generator_letters(lie_type):
@@ -288,23 +289,26 @@ def test_posi_posi_direct_call_matches_mul():
 
 
 def test_level_determinant_telescopes_to_single_class():
-    cases = [
-        ("c", (1, 1), 2),
-        ("c", (2, 1), 2),
-        ("c", (), 2),
-        ("b", (2,), 2),
-        ("b", (), 2),
-        ("b", (1,), 3),
-        ("d", (1, 1), 2),
-        ("d", (2,), 2),
-        ("d", (), 2),
-        ("d", (1, 1, 1), 2),
-        ("d", (1, 1, 1, 1), 2),
-    ]
-    for lie, lam, ell in cases:
-        shape = DominantShape(lie, lam, ell)
-        det = level_determinant(shape)
-        assert det.terms == {make_label(lie, (), shape): 1}, (lie, lam, ell)
+    """Every valid shape of level at most 3 with at most 3 boxes, which
+    reaches the even orthogonal t < ell, t = ell and t > ell branches, at
+    the default window and at windows |lam| and |lam| + 2."""
+    shapes = [DominantShape("d", (1, 1, 1, 1), 2)]
+    for lie in ("b", "c", "d"):
+        for ell in range(1, 4):
+            for size in range(4):
+                for lam in partitions_of(size):
+                    try:
+                        shapes.append(DominantShape(lie, lam, ell))
+                    except InvalidShapeError:
+                        continue
+    for shape in shapes:
+        size = sum(shape.lam)
+        for window in (None, size, size + 2):
+            det = level_determinant(shape, window)
+            assert det.terms == {make_label(shape.lie_type, (), shape): 1}, (
+                shape,
+                window,
+            )
 
 
 def test_two_row_determinant_identity_symplectic():
@@ -379,6 +383,37 @@ def test_structure_cache_round_trip(tmp_path):
     assert structure_constant("c", (1, 1), 2, target, cache=seeded) == 77
 
 
+def test_structure_cache_opens_a_truncated_file_empty(tmp_path):
+    path = tmp_path / "cache.json"
+    path.write_text('{"c|2|1|1@2": 1,\n"c|2|', encoding="utf-8")
+    cache = StructureCache(str(path))
+    assert cache.data == {}
+    cache.put("k", 5)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {"k": 5}, indent=0, sort_keys=True
+    )
+    assert os.listdir(tmp_path) == ["cache.json"]
+    for text in ("[1, 2]", '{"k": "5"}', '{"k": 1.5}', '{"k": true}'):
+        path.write_text(text, encoding="utf-8")
+        assert StructureCache(str(path)).data == {}, text
+
+
+def test_structure_cache_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = StructureCache(str(path))
+    cache.put("a", 1)
+    before = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        cache.put("b", 2)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.json"]
+
+
 def test_structure_cache_env_var(tmp_path, monkeypatch):
     path = str(tmp_path / "env_cache.json")
     monkeypatch.setenv("CRYSTALLINE_CACHE", path)
@@ -419,6 +454,30 @@ def test_psi_plus_matches_two_row_determinant():
     h = lambda a: a_h("c", a)
     expected = h(1) * (h(3) + h(1)) - h(2) * (h(2) + h(0))
     assert got == expected
+
+
+def test_psi_plus_matches_two_row_determinants_of_b_and_d():
+    h = lambda a: a_h("d", a)
+    hbar = a_hbar()
+    # t < ell and t > ell: the half-sums leave one reflected determinant
+    got = psi_plus(DominantShape("d", (1,), 2))
+    assert got == h(3) * hbar - h(2) * h(1) + h(1) * h(0)
+    got = psi_plus(DominantShape("d", (1, 1, 1), 2))
+    assert got == h(3) * h(0) - h(2) * h(1) + h(1) * hbar
+    h = lambda a: a_h("b", a)
+    got = psi_plus(DominantShape("b", (1,), 2))
+    assert got == h(0) * (h(3) + h(1)) - (h(1) + h(0)) * h(2)
+
+
+def test_half_rejects_odd_coefficients():
+    x = GrothElement("c", {make_label("c", (1,)): 2}, 5)
+    assert x.half() == GrothElement("c", {make_label("c", (1,)): 1}, 5)
+    with pytest.raises(ArithmeticError):
+        (x + groth_basis("c", (2,))).half()
+    y = a_h("c", 1).scale(2)
+    assert y.half() == a_h("c", 1)
+    with pytest.raises(ArithmeticError):
+        (y + a_h("c", 2)).half()
 
 
 def test_psi_is_a_homomorphism_rows_past_columns():
