@@ -53,13 +53,14 @@ from crystalline.tableaux import (
     residue,
     t_lambda,
 )
+from crystalline.termmap import Accumulator
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
     ResourceCapError,
     StabilizationError,
     conjugate,
-    partitions_in_box,
+    level_shapes,
     truncation_shape,
 )
 
@@ -247,16 +248,6 @@ def _types_from(args) -> list[str]:
     return ["b", "c", "d"]
 
 
-def _level_shapes(lie: str, lam_max: int, ell: int):
-    seen = []
-    for lam in partitions_in_box(2 * ell, lam_max):
-        try:
-            seen.append(DominantShape(lie, lam, ell))
-        except InvalidShapeError:
-            continue
-    return seen
-
-
 def suite_residue_character(args) -> list[Instance]:
     """Stratified two-column characters against single Schur polynomials.
 
@@ -317,7 +308,7 @@ def _bridge_instances(args):
     for lie in _types_from(args):
         n_start = 2 if lie == "d" else 1
         for ell in range(1, args.ell + 1):
-            for shape in _level_shapes(lie, args.lam, ell):
+            for shape in level_shapes(lie, ell, range(2 * ell * args.lam + 1), args.lam):
                 for n in range(n_start, args.rank + 1):
                     try:
                         rho = truncation_shape(shape, n)
@@ -380,7 +371,7 @@ def suite_jt_character(args) -> list[Instance]:
 
 def _labels_from_algebra(elem, lie: str) -> GrothElement:
     """Translate one-row normal forms back to ring labels."""
-    total = GrothElement(lie)
+    total = Accumulator(GrothElement(lie))
     for mono, coeff in elem.terms.items():
         mu = conjugate(mono.zs)
         if mono.barred == 1 and not mono.hs:
@@ -392,8 +383,8 @@ def _labels_from_algebra(elem, lie: str) -> GrothElement:
             kappa = DominantShape(lie, (), 0)
         else:
             raise CliError(f"monomial {mono} is not a basis image")
-        total = total + groth_basis(lie, mu, kappa).scale(coeff)
-    return total
+        total.add(groth_basis(lie, mu, kappa), coeff)
+    return total.result()
 
 
 def suite_tensor_decomp(args) -> list[Instance]:
@@ -445,9 +436,7 @@ def suite_dominance_lemma(args) -> list[Instance]:
     width-by-level box and across levels, and level determinants collapse."""
     out: list[Instance] = []
     for lie in _types_from(args):
-        for shape in _level_shapes(lie, 2, 2):
-            if sum(shape.lam) > 4:
-                continue
+        for shape in level_shapes(lie, 2, range(5), 2):
             value = structure_constant(lie, shape.lam, shape.ell, shape)
             out.append(
                 (f"type {lie} diagonal {shape}", value == 1, f"constant {value}")

@@ -53,14 +53,15 @@ from crystalline.symfunc import (
     schur_basis,
     type_determinant,
 )
+from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
     StabilizationError,
     check_lie_type,
     conjugate,
+    level_shapes,
     make_partition,
-    partitions_of,
 )
 
 Label = StableComponent
@@ -96,15 +97,18 @@ def _label_size(label: Label) -> int:
 # ring elements
 
 
-class GrothElement:
+class GrothElement(TermMap):
     """Integer combination of basis pairs with an optional exactness window.
 
     ``through_degree`` of None means the combination is exact and finite.
     A value D means coefficients on labels whose dominant shape has at
     most D boxes are exact, and labels above the window are not stored.
+    Sums keep the narrower window.
     """
 
-    __slots__ = ("lie_type", "terms", "through_degree")
+    __slots__ = ()
+    lie_type = property(lambda self: self._ctx[0])
+    through_degree = property(lambda self: self._ctx[1])
 
     def __init__(
         self,
@@ -113,73 +117,19 @@ class GrothElement:
         through_degree: int | None = None,
     ):
         check_lie_type(lie_type)
-        self.lie_type = lie_type
-        self.through_degree = through_degree
-        clean: dict[Label, int] = {}
-        for label, c in (terms or {}).items():
-            if label.kappa.lie_type != lie_type:
-                raise InvalidShapeError("term type does not match element type")
-            if through_degree is not None and _label_size(label) > through_degree:
-                continue
-            if c:
-                clean[label] = clean.get(label, 0) + int(c)
-        self.terms = {k: v for k, v in clean.items() if v}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GrothElement)
-            and self.lie_type == other.lie_type
-            and self.terms == other.terms
-            and self.through_degree == other.through_degree
-        )
-
-    def __hash__(self):
-        return hash(
-            (
-                self.lie_type,
-                self.through_degree,
-                tuple(sorted(self.terms.items(), key=lambda kv: label_sort_key(kv[0]))),
-            )
-        )
-
-    def _check(self, other: "GrothElement") -> None:
-        if self.lie_type != other.lie_type:
-            raise InvalidShapeError("cannot combine elements of different types")
+        self._init((lie_type, through_degree), terms)
 
     @staticmethod
-    def _merge_window(a: int | None, b: int | None) -> int | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
+    def _key(ctx: tuple, label: Label) -> Label | None:
+        if label.kappa.lie_type != ctx[0]:
+            raise InvalidShapeError("term type does not match element type")
+        return label if ctx[1] is None or _label_size(label) <= ctx[1] else None
 
-    def __add__(self, other: "GrothElement") -> "GrothElement":
-        self._check(other)
-        merged = dict(self.terms)
-        for label, c in other.terms.items():
-            merged[label] = merged.get(label, 0) + c
-        window = self._merge_window(self.through_degree, other.through_degree)
-        return GrothElement(self.lie_type, merged, window)
-
-    def __sub__(self, other: "GrothElement") -> "GrothElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "GrothElement":
-        return GrothElement(
-            self.lie_type,
-            {k: c * v for k, v in self.terms.items()},
-            self.through_degree,
-        )
-
-    def half(self) -> "GrothElement":
-        if any(c % 2 for c in self.terms.values()):
-            raise ArithmeticError("element has an odd coefficient, cannot halve")
-        return GrothElement(
-            self.lie_type,
-            {k: c // 2 for k, c in self.terms.items()},
-            self.through_degree,
-        )
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        if a[0] != b[0]:
+            raise InvalidShapeError("cannot combine elements of different types")
+        return (a[0], _min_window(a[1], b[1]))
 
     def __mul__(self, other: "GrothElement") -> "GrothElement":
         return groth_mul(self, other)
@@ -192,39 +142,34 @@ class GrothElement:
             )
         return self.terms.get(label, 0)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def sorted_terms(self) -> list[tuple[Label, int]]:
         return sorted(self.terms.items(), key=lambda kv: label_sort_key(kv[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            body = "0"
-        else:
-            bits = []
-            for label, c in self.sorted_terms():
-                bits.append(str(label) if c == 1 else f"{c}*{label}")
-            body = " + ".join(bits)
+        body = show_terms(self.sorted_terms())
         if self.through_degree is not None:
             body += f" + O({self.through_degree + 1})"
         return body
 
     def to_json(self) -> dict:
-        terms = []
-        for label, c in self.sorted_terms():
-            terms.append(
-                {
-                    "mu": list(label.mu),
-                    "kappa": {"lam": list(label.kappa.lam), "ell": label.kappa.ell},
-                    "coeff": c,
-                }
-            )
+        terms = [
+            {
+                "mu": list(label.mu),
+                "kappa": {"lam": list(label.kappa.lam), "ell": label.kappa.ell},
+                "coeff": c,
+            }
+            for label, c in self.sorted_terms()
+        ]
         return {
             "lie_type": self.lie_type,
             "through_degree": self.through_degree,
             "terms": terms,
         }
+
+
+def _min_window(a: int | None, b: int | None) -> int | None:
+    """The narrower of two exactness windows, None standing for no window."""
+    return b if a is None else a if b is None else min(a, b)
 
 
 def groth_basis(
@@ -266,8 +211,8 @@ def shape_class(lie_type: str, lam: Sequence[int], ell: int) -> GrothElement:
 # basis products
 
 
-_POSI_ZERO_CACHE: dict[tuple, dict[Label, int]] = {}
-_POSI_POSI_CACHE: dict[tuple, tuple[int, dict[Label, int]]] = {}
+_POSI_ZERO_CACHE: dict[tuple, GrothElement] = {}
+_POSI_POSI_CACHE: dict[tuple, tuple[int, GrothElement]] = {}
 
 
 def mul_zero_zero(lie_type: str, mu: Sequence[int], nu: Sequence[int]) -> GrothElement:
@@ -286,25 +231,14 @@ def mul_posi_zero(lie_type: str, kappa: DominantShape, mu: Sequence[int]) -> Gro
     """Dominant class times finite-support class by stabilized scans."""
     key = (lie_type, kappa.lam, kappa.ell, make_partition(mu))
     if key not in _POSI_ZERO_CACHE:
-        _POSI_ZERO_CACHE[key] = stabilized_decomposition(
+        scan = stabilized_decomposition(
             TensorFactor.dominant(kappa), TensorFactor.zero(mu), lie_type
         )
-    return GrothElement(lie_type, dict(_POSI_ZERO_CACHE[key]))
+        _POSI_ZERO_CACHE[key] = GrothElement(lie_type, scan)
+    return _POSI_ZERO_CACHE[key]
 
 
 # dominant x dominant through character series ------------------------------
-
-
-@lru_cache(maxsize=None)
-def _level_shapes(lie_type: str, ell: int, size: int) -> tuple[DominantShape, ...]:
-    """All valid dominant shapes of the given level with the given box count."""
-    out = []
-    for lam in partitions_of(size):
-        try:
-            out.append(DominantShape(lie_type, lam, ell))
-        except InvalidShapeError:
-            continue
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -315,7 +249,7 @@ def _basis_series(shape: DominantShape, cutoff: int) -> SchurSeries:
     single Schur function on the conjugate partition with coefficient one;
     the degree-by-degree peel relies on this.
     """
-    series = s_g_series(shape, cutoff).with_t_power(0)
+    series = s_g_series(shape, cutoff)
     size = sum(shape.lam)
     for d in range(min(size, cutoff + 1)):
         if not series.homogeneous(d).is_zero():
@@ -338,18 +272,18 @@ def _expand_in_level_basis(
     """
     if product.cutoff < through_degree:
         raise ValueError("series cutoff is below the requested window")
-    remainder = product
+    remainder = Accumulator(product)
     out: dict[DominantShape, int] = {}
     for d in range(through_degree + 1):
-        part = remainder.homogeneous(d)
+        part = remainder.result().homogeneous(d)
         if part.is_zero():
             continue
-        for shape in _level_shapes(lie_type, ell, d):
+        for shape in level_shapes(lie_type, ell, (d,)):
             c = part.coefficient(conjugate(shape.lam))
             if c:
                 out[shape] = c
-                remainder = remainder - _basis_series(shape, product.cutoff).scale(c)
-        if not remainder.homogeneous(d).is_zero():
+                remainder.add(_basis_series(shape, product.cutoff), -c)
+        if not remainder.result().homogeneous(d).is_zero():
             raise StabilizationError(
                 f"degree {d} of the product is outside the level {ell} basis span"
             )
@@ -367,16 +301,13 @@ def mul_posi_posi(
     key = (lie_type, k1.lam, k1.ell, k2.lam, k2.ell)
     cached = _POSI_POSI_CACHE.get(key)
     if cached is not None and cached[0] >= through_degree:
-        return GrothElement(lie_type, dict(cached[1]), through_degree)
-    ell = k1.ell + k2.ell
-    cutoff = through_degree
-    product = (
-        s_g_series(k1, cutoff).with_t_power(0) * s_g_series(k2, cutoff).with_t_power(0)
-    )
-    found = _expand_in_level_basis(product, lie_type, ell, through_degree)
-    out = {make_label(lie_type, (), shape): c for shape, c in found.items()}
+        return GrothElement(lie_type, cached[1].terms, through_degree)
+    product = _basis_series(k1, through_degree) * _basis_series(k2, through_degree)
+    found = _expand_in_level_basis(product, lie_type, k1.ell + k2.ell, through_degree)
+    labels = {make_label(lie_type, (), shape): c for shape, c in found.items()}
+    out = GrothElement(lie_type, labels, through_degree)
     _POSI_POSI_CACHE[key] = (through_degree, out)
-    return GrothElement(lie_type, dict(out), through_degree)
+    return out
 
 
 def _mul_basis(
@@ -394,7 +325,7 @@ def _mul_basis(
     else:
         middle = mul_posi_zero(lie_type, l_posi, r_zero)
 
-    total = GrothElement(lie_type, {}, window)
+    out: dict[Label, int] = {}
     for mid_label, m in middle.terms.items():
         sigma_part = mul_zero_zero(lie_type, l_zero, mid_label.mu)
         mid_posi = mid_label.kappa
@@ -409,8 +340,8 @@ def _mul_basis(
         for s_label, a in sigma_part.terms.items():
             for p_label, b in right_part.terms.items():
                 label = make_label(lie_type, s_label.mu, p_label.kappa)
-                total = total + GrothElement(lie_type, {label: m * a * b}, window)
-    return total
+                out[label] = out.get(label, 0) + m * a * b
+    return GrothElement(lie_type, out, window)
 
 
 def _needs_window(x: GrothElement, y: GrothElement) -> bool:
@@ -434,17 +365,17 @@ def groth_mul(
         raise InvalidShapeError("cannot multiply elements of different types")
     window = through_degree
     if y.through_degree is not None:
-        window = GrothElement._merge_window(window, y.through_degree)
+        window = _min_window(window, y.through_degree)
     if x.through_degree is not None:
         drop = 2 * max((sum(r.mu) for r in y.terms), default=0)
-        window = GrothElement._merge_window(window, x.through_degree - drop)
+        window = _min_window(window, x.through_degree - drop)
     if window is None and _needs_window(x, y):
         window = DEFAULT_TRUNCATION_DEGREE
-    total = GrothElement(x.lie_type, {}, window)
+    total = Accumulator(GrothElement(x.lie_type, {}, window))
     for left, a in x.terms.items():
         for right, b in y.terms.items():
-            total = total + _mul_basis(x.lie_type, left, right, window).scale(a * b)
-    return total
+            total.add(_mul_basis(x.lie_type, left, right, window), a * b)
+    return total.result()
 
 
 # ---------------------------------------------------------------------------
@@ -647,70 +578,36 @@ class AMonomial:
         return "*".join(bits) if bits else "1"
 
 
-class AElement:
+class AElement(TermMap):
     """Integer combination of normal-ordered monomials for one type."""
 
-    __slots__ = ("lie_type", "terms")
+    __slots__ = ()
+    lie_type = property(lambda self: self._ctx[0])
 
     def __init__(self, lie_type: str, terms: Mapping[AMonomial, int] | None = None):
         check_lie_type(lie_type)
-        self.lie_type = lie_type
-        clean: dict[AMonomial, int] = {}
-        for mono, c in (terms or {}).items():
-            if mono.barred and lie_type != "d":
-                raise ValueError("barred rows exist only for the even orthogonal type")
-            if c:
-                clean[mono] = clean.get(mono, 0) + int(c)
-        self.terms = {k: v for k, v in clean.items() if v}
+        self._init((lie_type,), terms)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AElement)
-            and self.lie_type == other.lie_type
-            and self.terms == other.terms
-        )
+    @staticmethod
+    def _key(ctx: tuple, mono: AMonomial) -> AMonomial:
+        if mono.barred and ctx[0] != "d":
+            raise ValueError("barred rows exist only for the even orthogonal type")
+        return mono
 
-    def __hash__(self):
-        return hash(
-            (
-                self.lie_type,
-                tuple(sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())),
-            )
-        )
-
-    def _check(self, other: "AElement") -> None:
-        if self.lie_type != other.lie_type:
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        if a != b:
             raise ValueError("cannot combine elements of different types")
-
-    def __add__(self, other: "AElement") -> "AElement":
-        self._check(other)
-        merged = dict(self.terms)
-        for mono, c in other.terms.items():
-            merged[mono] = merged.get(mono, 0) + c
-        return AElement(self.lie_type, merged)
-
-    def __sub__(self, other: "AElement") -> "AElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "AElement":
-        return AElement(self.lie_type, {k: c * v for k, v in self.terms.items()})
-
-    def half(self) -> "AElement":
-        if any(c % 2 for c in self.terms.values()):
-            raise ArithmeticError("element has an odd coefficient, cannot halve")
-        return AElement(self.lie_type, {k: c // 2 for k, c in self.terms.items()})
+        return a
 
     def __mul__(self, other: "AElement") -> "AElement":
-        self._check(other)
-        total = AElement(self.lie_type)
+        (lie_type,) = self._join(self._ctx, other._ctx)
+        total = Accumulator(AElement(lie_type))
         for m1, a in self.terms.items():
             for m2, b in other.terms.items():
                 word = _monomial_word(m1) + _monomial_word(m2)
-                total = total + _normalize_word(word, self.lie_type).scale(a * b)
-        return total
-
-    def is_zero(self) -> bool:
-        return not self.terms
+                total.add(_normalize_word(word, lie_type), a * b)
+        return total.result()
 
     def coefficient(self, mono: AMonomial) -> int:
         return self.terms.get(mono, 0)
@@ -719,12 +616,7 @@ class AElement:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in self.sorted_terms():
-            bits.append(str(mono) if c == 1 else f"{c}*{mono}")
-        return " + ".join(bits)
+        return show_terms(self.sorted_terms())
 
     def to_json(self) -> dict:
         terms = [
@@ -770,50 +662,44 @@ def delta(m: int, letter: tuple, lie_type: str) -> AElement:
     if m < 1:
         raise ValueError("column indices start at 1")
     kind, a = letter
-    out = AElement(lie_type)
+    out = Accumulator(AElement(lie_type))
     if kind == "hb":
         if lie_type != "d":
             raise ValueError("barred rows exist only for the even orthogonal type")
         for i in range(m):
             for j in range((m - i) // 2 + 1):
-                out = out + _zh(lie_type, i, m - i - 2 * j, barred=True)
-        return out
-    if kind != "h":
+                out.add(_zh(lie_type, i, m - i - 2 * j, barred=True))
+    elif kind != "h":
         raise ValueError("only row letters have corrections")
-    if lie_type == "c":
+    elif lie_type == "c":
         for i in range(m):
             for j in range(min(a, m - i) + 1):
-                out = out + _zh(lie_type, i, a + m - i - 2 * j)
-        return out
-    if lie_type == "b":
+                out.add(_zh(lie_type, i, a + m - i - 2 * j))
+    elif lie_type == "b":
         for i in range(m):
             for j in range(min(a, m - i) + 1):
-                out = out + _zh(lie_type, i, a + m - i - 2 * j)
+                out.add(_zh(lie_type, i, a + m - i - 2 * j))
             if m - i > a:
                 for k in range(1, m - i - a + 1):
-                    out = out + _zh(lie_type, i, m - i - a - k)
-        return out
-    if a == 0:
+                    out.add(_zh(lie_type, i, m - i - a - k))
+    elif a == 0:
         for i in range(m):
             for j in range((m - i) // 2 + 1):
-                out = out + _zh(lie_type, i, m - i - 2 * j)
-        return out
-    for i in range(m):
-        for j in range(min((a + m - i) // 2, m - i) + 1):
-            out = out + _zh(lie_type, i, a + m - i - 2 * j)
-        if m - i >= a:
-            for k in range((m - i - a) // 2 + 1):
-                out = out + _zh(lie_type, i, m - i - a - 2 * k, barred=True)
-    return out
+                out.add(_zh(lie_type, i, m - i - 2 * j))
+    else:
+        for i in range(m):
+            for j in range(min((a + m - i) // 2, m - i) + 1):
+                out.add(_zh(lie_type, i, a + m - i - 2 * j))
+            if m - i >= a:
+                for k in range((m - i - a) // 2 + 1):
+                    out.add(_zh(lie_type, i, m - i - a - 2 * k, barred=True))
+    return out.result()
 
 
 def _zh(lie_type: str, z_index: int, h_index: int, barred: bool = False) -> AElement:
-    zs = (z_index,) if z_index else ()
     if barred and h_index == 0:
-        mono = AMonomial(zs=zs, barred=1)
-    else:
-        mono = AMonomial(zs=zs, hs=(h_index,))
-    return AElement(lie_type, {mono: 1})
+        return AElement(lie_type, {AMonomial(zs=(z_index,), barred=1): 1})
+    return AElement(lie_type, {AMonomial(zs=(z_index,), hs=(h_index,)): 1})
 
 
 def _normalize_word(word: tuple, lie_type: str) -> AElement:
@@ -822,11 +708,11 @@ def _normalize_word(word: tuple, lie_type: str) -> AElement:
         if word[i][0] in ("h", "hb") and word[i + 1][0] == "z":
             row, (_, m) = word[i], word[i + 1]
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2 :]
-            total = _normalize_word(swapped, lie_type)
+            total = Accumulator(_normalize_word(swapped, lie_type))
             for mono, c in delta(m, row, lie_type).terms.items():
                 spliced = word[:i] + _monomial_word(mono) + word[i + 2 :]
-                total = total + _normalize_word(spliced, lie_type).scale(c)
-            return total
+                total.add(_normalize_word(spliced, lie_type), c)
+            return total.result()
     zs = [x[1] for x in word if x[0] == "z"]
     hs = [x[1] for x in word if x[0] == "h"]
     barred = sum(1 for x in word if x[0] == "hb")
@@ -882,7 +768,7 @@ def psi(x: GrothElement) -> AElement:
     """
     if x.through_degree is not None:
         raise ValueError("the realization map needs an exact element")
-    total = AElement(x.lie_type)
+    total = Accumulator(AElement(x.lie_type))
     for label, c in x.terms.items():
-        total = total + (psi_zero(x.lie_type, label.mu) * psi_plus(label.kappa)).scale(c)
-    return total
+        total.add(psi_zero(x.lie_type, label.mu) * psi_plus(label.kappa), c)
+    return total.result()

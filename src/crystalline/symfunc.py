@@ -18,12 +18,13 @@ x_{n+1} = x_{n+2} = ... = 0 and converts each power of t into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
 from itertools import combinations
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
@@ -138,8 +139,7 @@ def _lr_fill(lam: Partition, mu: Partition) -> dict[Partition, int]:
 # Schur series
 
 
-@dataclass(frozen=True)
-class SchurSeries:
+class SchurSeries(TermMap):
     """Truncated integer combination of Schur functions with a t grading.
 
     Partitions of size greater than ``cutoff`` are unknown and never
@@ -147,93 +147,48 @@ class SchurSeries:
     identity is never mistaken for an exact one.
     """
 
-    cutoff: int
-    coeffs: dict = field(default_factory=dict)
-    t_power: int = 0
+    __slots__ = ()
+    cutoff = property(lambda self: self._ctx[0])
+    t_power = property(lambda self: self._ctx[1])
+    coeffs = TermMap.terms
 
-    def __post_init__(self) -> None:
-        clean = {
-            make_partition(lam): int(c)
-            for lam, c in self.coeffs.items()
-            if c != 0 and sum(lam) <= self.cutoff
-        }
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, cutoff: int, coeffs: Mapping | None = None, t_power: int = 0):
+        self._init((cutoff, t_power), coeffs)
 
-    @classmethod
-    def _trusted(cls, cutoff: int, coeffs: Mapping, t_power: int) -> "SchurSeries":
-        """Build from keys already known to be partitions of size <= cutoff.
+    @staticmethod
+    def _key(ctx: tuple, lam: Sequence[int]) -> Partition | None:
+        lam = make_partition(lam)
+        return lam if sum(lam) <= ctx[0] else None
 
-        Only zero coefficients are dropped; callers are the operations whose
-        keys all come from validated operands.
-        """
-        series = object.__new__(cls)
-        object.__setattr__(series, "cutoff", cutoff)
-        object.__setattr__(series, "coeffs", {lam: c for lam, c in coeffs.items() if c})
-        object.__setattr__(series, "t_power", t_power)
-        return series
-
-    def _check(self, other: "SchurSeries") -> None:
-        if self.cutoff != other.cutoff:
-            raise CutoffMismatchError(
-                f"cutoffs differ: {self.cutoff} vs {other.cutoff}"
-            )
-        if self.t_power != other.t_power:
-            raise CutoffMismatchError(
-                f"t gradings differ: {self.t_power} vs {other.t_power}"
-            )
-
-    def __add__(self, other: "SchurSeries") -> "SchurSeries":
-        self._check(other)
-        merged = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            merged[lam] = merged.get(lam, 0) + c
-        return SchurSeries._trusted(self.cutoff, merged, self.t_power)
-
-    def __sub__(self, other: "SchurSeries") -> "SchurSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "SchurSeries":
-        return SchurSeries._trusted(
-            self.cutoff, {l: -c for l, c in self.coeffs.items()}, self.t_power
-        )
-
-    def scale(self, c: int) -> "SchurSeries":
-        return SchurSeries(self.cutoff, {l: c * v for l, v in self.coeffs.items()}, self.t_power)
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        if a[0] != b[0]:
+            raise CutoffMismatchError(f"cutoffs differ: {a[0]} vs {b[0]}")
+        if a[1] != b[1]:
+            raise CutoffMismatchError(f"t gradings differ: {a[1]} vs {b[1]}")
+        return a
 
     def __mul__(self, other: "SchurSeries") -> "SchurSeries":
         return schur_mul(self, other)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coefficient(self, lam: Sequence[int]) -> int:
         return self.coeffs.get(make_partition(lam), 0)
 
     def homogeneous(self, degree: int) -> "SchurSeries":
-        return SchurSeries(
-            self.cutoff,
-            {l: c for l, c in self.coeffs.items() if sum(l) == degree},
-            self.t_power,
+        return self._trusted(
+            self._ctx, {l: c for l, c in self.coeffs.items() if sum(l) == degree}
         )
 
     def truncate(self, cutoff: int) -> "SchurSeries":
         if cutoff > self.cutoff:
             raise CutoffMismatchError("cannot raise a cutoff after truncation")
-        return SchurSeries(
-            cutoff,
+        return self._trusted(
+            (cutoff, self.t_power),
             {l: c for l, c in self.coeffs.items() if sum(l) <= cutoff},
-            self.t_power,
         )
 
     def with_t_power(self, t_power: int) -> "SchurSeries":
-        return SchurSeries(self.cutoff, self.coeffs, t_power)
-
-    def half(self) -> "SchurSeries":
-        if any(c % 2 for c in self.coeffs.values()):
-            raise ArithmeticError("series has an odd coefficient, cannot halve")
-        return SchurSeries(
-            self.cutoff, {l: c // 2 for l, c in self.coeffs.items()}, self.t_power
-        )
+        return self._trusted((self.cutoff, t_power), self.coeffs)
 
     def to_json(self) -> dict:
         terms = [
@@ -248,13 +203,10 @@ class SchurSeries:
         return SchurSeries(data["cutoff"], coeffs, data.get("t_power", 0))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for lam, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0])):
-            name = "s[%s]" % ",".join(map(str, lam)) if lam else "1"
-            parts.append(f"{c}*{name}" if c != 1 else name)
-        return " + ".join(parts)
+        ordered = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        return show_terms(
+            ("s[%s]" % ",".join(map(str, lam)) if lam else "1", c) for lam, c in ordered
+        )
 
 
 def schur_basis(lam: Sequence[int], cutoff: int, t_power: int = 0) -> SchurSeries:
@@ -291,7 +243,7 @@ def schur_mul(f: SchurSeries, g: SchurSeries) -> SchurSeries:
             ab = a * b
             for nu, c in _lr(lam, mu).items():
                 out[nu] = out.get(nu, 0) + ab * c
-    return SchurSeries._trusted(cutoff, out, f.t_power + g.t_power)
+    return SchurSeries._trusted((cutoff, f.t_power + g.t_power), out)
 
 
 def determinant(matrix: Sequence[Sequence], zero):
@@ -327,12 +279,12 @@ def determinant(matrix: Sequence[Sequence], zero):
 
 def cap_e(r: int, cutoff: int) -> SchurSeries:
     """E_r = sum over i of e_i * e_{r+i}, truncated at the cutoff."""
-    total = zero_series(cutoff)
+    total = Accumulator(zero_series(cutoff))
     i = max(0, -r)
     while 2 * i + r <= cutoff:
-        total = total + schur_mul(e_series(i, cutoff), e_series(r + i, cutoff))
+        total.add(schur_mul(e_series(i, cutoff), e_series(r + i, cutoff)))
         i += 1
-    return total
+    return total.result()
 
 
 def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
@@ -348,12 +300,8 @@ def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
 
 def alternating_e_product(cutoff: int) -> SchurSeries:
     """The product (sum of e_i) * (sum of (-1)^i e_i), truncated."""
-    plus = zero_series(cutoff)
-    signed = zero_series(cutoff)
-    for i in range(cutoff + 1):
-        ei = e_series(i, cutoff)
-        plus = plus + ei
-        signed = signed + (ei if i % 2 == 0 else -ei)
+    plus = SchurSeries(cutoff, {(1,) * i: 1 for i in range(cutoff + 1)})
+    signed = SchurSeries(cutoff, {(1,) * i: (-1) ** i for i in range(cutoff + 1)})
     return schur_mul(plus, signed)
 
 
@@ -376,35 +324,35 @@ def spinor_char(a: int, lie_type: str, cutoff: int) -> SchurSeries:
     check_lie_type(lie_type)
     if a < 0:
         raise InvalidShapeError("column height must be non-negative")
-    total = zero_series(cutoff)
+    total = Accumulator(zero_series(cutoff))
     if lie_type == "c":
         for c in range(0, (cutoff - a) // 2 + 1):
-            total = total + two_column_schur(a + c, c, cutoff)
+            total.add(two_column_schur(a + c, c, cutoff))
     elif lie_type == "b":
         for c in range(0, cutoff + 1):
             for b in range(0, cutoff + 1 - a - 2 * c):
-                total = total + two_column_schur(a + b + c, c, cutoff)
+                total.add(two_column_schur(a + b + c, c, cutoff))
     elif a >= 1:
         for c in range(0, cutoff + 1):
             for b in range(0, (cutoff - a - 2 * c) // 2 + 1):
-                total = total + two_column_schur(a + 2 * b + c, c, cutoff)
+                total.add(two_column_schur(a + 2 * b + c, c, cutoff))
     else:
         for c in range(0, cutoff // 2 + 1):
             for b in range(0, (cutoff - 4 * c) // 2 + 1):
-                total = total + two_column_schur(2 * b + 2 * c, 2 * c, cutoff)
-    return total.with_t_power(1)
+                total.add(two_column_schur(2 * b + 2 * c, 2 * c, cutoff))
+    return total.result().with_t_power(1)
 
 
 def spinor_char_barred(cutoff: int) -> SchurSeries:
     """The barred even-orthogonal companion at a = 0, t power 1."""
-    total = zero_series(cutoff)
+    total = Accumulator(zero_series(cutoff))
     for c in range(0, cutoff + 1):
         for b in range(0, cutoff + 1):
             p, q = 2 * b + 2 * c + 1, 2 * c + 1
             if p + q > cutoff:
                 break
-            total = total + two_column_schur(p, q, cutoff)
-    return total.with_t_power(1)
+            total.add(two_column_schur(p, q, cutoff))
+    return total.result().with_t_power(1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,35 +446,29 @@ def s_g_series(shape: DominantShape, cutoff: int) -> SchurSeries:
 # Laurent polynomials at rank n
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(TermMap):
     """Integer Laurent polynomial in a fixed number of variables."""
 
-    nvars: int
-    terms: dict = field(default_factory=dict)
+    __slots__ = ()
+    nvars = property(lambda self: self._ctx[0])
 
-    def __post_init__(self) -> None:
-        clean = {}
-        for exp, c in self.terms.items():
-            if c == 0:
-                continue
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != self.nvars:
-                raise ValueError(f"exponent {exp} has wrong length for {self.nvars} vars")
-            clean[exp] = int(c)
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, nvars: int, terms: Mapping | None = None):
+        self._init((nvars,), terms)
 
-    @classmethod
-    def _trusted(cls, nvars: int, terms: Mapping) -> "LaurentPoly":
-        """Build from exponents already known to be int tuples of length nvars.
+    @staticmethod
+    def _key(ctx: tuple, exp: Sequence[int]) -> tuple:
+        exp = tuple(exp)
+        if len(exp) != ctx[0]:
+            raise ValueError(f"exponent {exp} has wrong length for {ctx[0]} vars")
+        if not all(isinstance(e, int) for e in exp):
+            raise TypeError(f"exponent {exp} is not an integer vector")
+        return exp
 
-        Only zero coefficients are dropped, into a fresh dict; callers are the
-        operations whose exponents all come from validated operands.
-        """
-        poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "terms", {e: c for e, c in terms.items() if c})
-        return poly
+    @staticmethod
+    def _join(a: tuple, b: tuple) -> tuple:
+        if a != b:
+            raise ValueError("variable counts differ")
+        return a
 
     @staticmethod
     def zero(nvars: int) -> "LaurentPoly":
@@ -543,49 +485,17 @@ class LaurentPoly:
     @staticmethod
     def from_weights(nvars: int, weights: Iterable[Sequence[int]]) -> "LaurentPoly":
         """Character polynomial: one monomial per listed weight."""
-        terms: dict[tuple, int] = {}
-        for w in weights:
-            exp = tuple(w)
-            terms[exp] = terms.get(exp, 0) + 1
-        return LaurentPoly(nvars, terms)
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        merged = dict(self.terms)
-        for exp, c in other.terms.items():
-            merged[exp] = merged.get(exp, 0) + c
-        return LaurentPoly._trusted(self.nvars, merged)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly(nvars, Counter(map(tuple, weights)))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
+        ctx = self._join(self._ctx, other._ctx)
         out: dict[tuple, int] = {}
         right = other.terms.items()
         for e1, c1 in self.terms.items():
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly._trusted(self.nvars, out)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
-    def half(self) -> "LaurentPoly":
-        if any(c % 2 for c in self.terms.values()):
-            raise ArithmeticError("polynomial has an odd coefficient, cannot halve")
-        return LaurentPoly(self.nvars, {e: c // 2 for e, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return LaurentPoly._trusted(ctx, out)
 
     def coefficient(self, exp: Sequence[int]) -> int:
         return self.terms.get(tuple(exp), 0)
@@ -730,19 +640,18 @@ def sigma_char(shape: Sequence[int], lie_type: str, n: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Schur polynomials at rank n and the specialization bridge
 
-_SSYT_CACHE: dict[tuple[Partition, int], dict[tuple, int]] = {}
+_SSYT_CACHE: dict[tuple[Partition, int], LaurentPoly] = {}
 
 
 def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
-    """s_lam(x_1..x_n) by semistandard tableau enumeration.
+    """s_lam(x_1..x_n) by semistandard tableau enumeration, memoized.
 
-    Each call returns its own polynomial; the cached terms are never shared.
+    The polynomial is immutable, so every call shares the cached value.
     """
-    lam = make_partition(lam)
-    key = (lam, n)
+    key = (make_partition(lam), n)
     if key not in _SSYT_CACHE:
-        _SSYT_CACHE[key] = _ssyt_terms(lam, n)
-    return LaurentPoly._trusted(n, _SSYT_CACHE[key])
+        _SSYT_CACHE[key] = LaurentPoly._trusted((n,), _ssyt_terms(*key))
+    return _SSYT_CACHE[key]
 
 
 def _ssyt_terms(lam: Partition, n: int) -> dict[tuple, int]:
@@ -776,15 +685,13 @@ def _ssyt_terms(lam: Partition, n: int) -> dict[tuple, int]:
 
 def laurent_specialize(f: SchurSeries, n: int) -> LaurentPoly:
     """Set x_{n+1} = ... = 0 and send each t to (x_1...x_n)^{-1}."""
-    total = LaurentPoly.zero(n)
+    total = Accumulator(LaurentPoly.zero(n))
     for lam, c in f.coeffs.items():
-        if len(lam) > n:
-            continue
-        total = total + schur_poly(lam, n).scale(c)
+        if len(lam) <= n:
+            total.add(schur_poly(lam, n), c)
     if f.t_power:
-        shift = LaurentPoly.monomial(n, (-f.t_power,) * n)
-        total = total * shift
-    return total
+        return total.result() * LaurentPoly.monomial(n, (-f.t_power,) * n)
+    return total.result()
 
 
 def monomials_to_schur(poly: LaurentPoly) -> dict[Partition, int]:
@@ -794,24 +701,16 @@ def monomials_to_schur(poly: LaurentPoly) -> dict[Partition, int]:
     input to be genuinely symmetric, otherwise the peel leaves a remainder
     and a ValueError is raised.
     """
-    remaining = dict(poly.terms)
+    remaining = Accumulator(poly)
     out: dict[Partition, int] = {}
-    while remaining:
-        best = max(
-            (tuple(sorted(e, reverse=True)) for e in remaining), default=None
-        )
+    while remaining.terms:
+        best = max(tuple(sorted(e, reverse=True)) for e in remaining.terms)
         if any(v < 0 for v in best):
             raise ValueError("monomial expansion expects non-negative exponents")
         lam = make_partition(best)
-        coeff = remaining.get(best + (0,) * (poly.nvars - len(best)), 0)
+        coeff = remaining.terms.get(best + (0,) * (poly.nvars - len(best)), 0)
         if coeff == 0:
             raise ValueError("input is not symmetric in its variables")
-        for exp, c in schur_poly(lam, poly.nvars).terms.items():
-            key = exp
-            val = remaining.get(key, 0) - coeff * c
-            if val:
-                remaining[key] = val
-            else:
-                remaining.pop(key, None)
+        remaining.add(schur_poly(lam, poly.nvars), -coeff)
         out[lam] = out.get(lam, 0) + coeff
     return {l: c for l, c in out.items() if c != 0}

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 LIE_TYPES = ("b", "c", "d")
 
@@ -271,6 +272,23 @@ class DominantShape:
         if isinstance(data, str):
             data = json.loads(data)
         return DominantShape(data["type"].lower(), tuple(data["lam"]), data["ell"])
+
+
+@lru_cache(maxsize=None)
+def level_shapes(
+    lie_type: str, ell: int, sizes: Iterable[int], max_part: int | None = None
+) -> tuple[DominantShape, ...]:
+    """The valid dominant shapes of level ``ell`` with a box count in ``sizes``
+    (a range or tuple) and parts at most ``max_part``, by size, then in the
+    order of :func:`partitions_of`."""
+    shapes = []
+    for size in sizes:
+        for lam in partitions_of(size, max_part):
+            try:
+                shapes.append(DominantShape(lie_type, lam, ell))
+            except InvalidShapeError:
+                continue
+    return tuple(shapes)
 
 
 def dominant_weight(shape: DominantShape) -> Weight:
