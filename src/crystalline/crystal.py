@@ -709,16 +709,23 @@ def _model_source(
     shape: Sequence[int], lie_type: str, n: int, order: str
 ) -> KNTableau:
     """The unique vertex killed by every raising operator, reached by
-    walking raising arrows up from the canonical filling."""
+    walking raising arrows up from the canonical filling.
+
+    The walk sweeps the indices 0..n-1, reads eps_i once per index and
+    applies e_i that many times, and sweeps again until a sweep moves
+    nothing.  Every step goes through tableau_op, which checks each vertex
+    on the way against the full filling rules.
+    """
     T = t_lambda(shape, lie_type, n)
-    while True:
-        word = reading_word(T, order)
+    moved = True
+    while moved:
+        moved = False
         for i in range(n):
-            if _word_counts(word, i, lie_type, n)[0]:
+            steps = _word_counts(reading_word(T, order), i, lie_type, n)[0]
+            for _ in range(steps):
                 T = tableau_op(T, "e", i, order)
-                break
-        else:
-            return T
+            moved = moved or steps > 0
+    return T
 
 
 def _scan_at_rank(
@@ -805,6 +812,7 @@ def stabilized_decomposition(
     # types compare consecutive ranks.
     step = 2 if lie_type == "d" else 1
     n = n_start + (n_start % 2 if lie_type == "d" else 0)
+    first = second = None
     for _ in range(max_escalations + 1):
         if n + step > max_rank:
             break
@@ -813,9 +821,31 @@ def stabilized_decomposition(
         if first == second and (expected is None or first == expected):
             return first
         n += 2
-    raise StabilizationError(
-        f"decomposition did not stabilize by rank {min(n, max_rank)}"
-    )
+    message = f"decomposition did not stabilize by rank {min(n, max_rank)}"
+    if first is not None:
+        ranks = f"ranks {n - 2} and {n - 2 + step}"
+        if first != second:
+            message += f"; {ranks} differ on " + _label_diff(first, second)
+        else:
+            message += (
+                f"; {ranks} agree but differ from the Littlewood-Richardson "
+                "labels on " + _label_diff(first, expected)
+            )
+    raise StabilizationError(message, first, second, expected)
+
+
+def _label_diff(
+    got: Mapping[StableComponent, int], want: Mapping[StableComponent, int]
+) -> str:
+    """How many labels differ in multiplicity, the first three spelled out
+    as ``label got/want``, so that an error message stays one short line."""
+    diff = [
+        f"{x} {got.get(x, 0)}/{want.get(x, 0)}"
+        for x in sorted(set(got) | set(want), key=str)
+        if got.get(x, 0) != want.get(x, 0)
+    ]
+    more = f" and {len(diff) - 3} more" if len(diff) > 3 else ""
+    return f"{len(diff)} labels: " + ", ".join(diff[:3]) + more
 
 
 def _trivial_shape(lie_type: str) -> DominantShape:

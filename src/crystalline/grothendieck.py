@@ -283,9 +283,15 @@ def _expand_in_level_basis(
             if c:
                 out[shape] = c
                 remainder.add(_basis_series(shape, product.cutoff), -c)
-        if not remainder.result().homogeneous(d).is_zero():
+        leftover = remainder.result().homogeneous(d)
+        if not leftover.is_zero():
+            terms = sorted(leftover.terms.items())
+            named = str(SchurSeries(leftover.cutoff, dict(terms[:3]), leftover.t_power))
+            more = f" + {len(terms) - 3} more term(s)" if len(terms) > 3 else ""
             raise StabilizationError(
-                f"degree {d} of the product is outside the level {ell} basis span"
+                f"degree {d} of the product is outside the level {ell} basis "
+                f"span, leaving {named}{more}",
+                leftover=leftover,
             )
     return out
 

@@ -133,13 +133,18 @@ def n_admissible(column: Sequence[int], n: int, lie_type: str) -> bool:
     outside the rank-n alphabet.
     """
     check_lie_type(lie_type)
+    counts = [0] * (n + 1)
     for x in column:
         if not letter_ok(x, lie_type, n):
             raise ValueError(f"letter {x} outside the rank-{n} alphabet")
+        counts[abs(x)] += 1
     if len(column) > n:
         return False
-    for z in range(1, n + 1):
-        if sum(1 for x in column if abs(x) >= z) > n - z + 1:
+    # suffix sums: letters of absolute value >= z, for z = n down to 1
+    at_least = 0
+    for z in range(n, 0, -1):
+        at_least += counts[z]
+        if at_least > n - z + 1:
             return False
     return True
 
@@ -358,48 +363,63 @@ class Violation:
 # the filling rules
 
 
-def _rows_of(column: Sequence[int], letter: int) -> list[int]:
-    return [i for i, x in enumerate(column, start=1) if x == letter]
+def _row_index(column: Sequence[int]) -> dict[int, list[int]]:
+    """Letter -> the rows (1-indexed, increasing) where it sits in the column."""
+    index: dict[int, list[int]] = {}
+    for i, x in enumerate(column, start=1):
+        if x in index:
+            index[x].append(i)
+        else:
+            index[x] = [i]
+    return index
 
 
 def _bracket_pairs(
-    left: Sequence[int], right: Sequence[int], a: int
+    left_rows: Mapping[int, Sequence[int]],
+    right_rows: Mapping[int, Sequence[int]],
+    a: int,
 ) -> Iterator[tuple[int, int]]:
     """All brackets for the letter a: barred a in the left column at row p,
     unbarred a in the right column at row s."""
-    for p in _rows_of(left, -a):
-        for s in _rows_of(right, a):
+    for p in left_rows.get(-a, ()):
+        for s in right_rows.get(a, ()):
             yield p, s
 
 
 # Each two-column rule is a generator of its witnesses, in a fixed order.
 # kn_violations formats every witness; the boolean checks stop at the first.
+# The rules read the letter -> rows index of each column (_row_index), built
+# once per column pair by the caller.
 
 
 def _pair_condition_hits(
-    left: Sequence[int],
-    right: Sequence[int],
+    left_rows: Mapping[int, Sequence[int]],
+    right_rows: Mapping[int, Sequence[int]],
     lie_type: str,
     n: int,
     config: KNConfig,
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
     """Witnesses (a, p, s, b, q, r) of the bracket-pair rule."""
     b_lo = 1 if lie_type == "c" else 2
+    mixed = config.pair_scope == "mixed"
     for a in range(b_lo, n + 1):
-        for p, s in _bracket_pairs(left, right, a):
+        for p, s in _bracket_pairs(left_rows, right_rows, a):
             for b in range(b_lo, a + 1):
                 witnesses: list[tuple[int, int]] = []
-                for col in (left, right):
-                    for q in _rows_of(col, -b):
-                        for r in _rows_of(col, b):
+                for rows in (left_rows, right_rows):
+                    for q in rows.get(-b, ()):
+                        for r in rows.get(b, ()):
                             witnesses.append((q, r))
-                if config.pair_scope == "mixed":
-                    for colq, colr in ((left, right), (right, left)):
-                        for q in _rows_of(colq, -b):
-                            for r in _rows_of(colr, b):
-                                if b == a and colq is left and q == p and r == s:
-                                    continue
+                if mixed:
+                    # straddling pairs, left to right and then right to left;
+                    # only the first can be the bracket itself
+                    for q in left_rows.get(-b, ()):
+                        for r in right_rows.get(b, ()):
+                            if not (b == a and q == p and r == s):
                                 witnesses.append((q, r))
+                    for q in right_rows.get(-b, ()):
+                        for r in left_rows.get(b, ()):
+                            witnesses.append((q, r))
                 for q, r in witnesses:
                     if p <= q < r <= s and (q - p) + (s - r) >= a - b:
                         yield a, p, s, b, q, r
@@ -408,13 +428,15 @@ def _pair_condition_hits(
 def _band_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
+    left_rows: Mapping[int, Sequence[int]],
+    right_rows: Mapping[int, Sequence[int]],
     lie_type: str,
     n: int,
 ) -> Iterator[tuple[int, int, int, int, int]]:
     """Witnesses (a, p, s, q, r) of the zero-band or sign-band rule."""
     band = {-1, 0, 1} if lie_type == "b" else {-1, 1}
     for a in range(2, n + 1):
-        for p, s in _bracket_pairs(left, right, a):
+        for p, s in _bracket_pairs(left_rows, right_rows, a):
             if p >= s:
                 continue
             for col in (left, right):
@@ -450,12 +472,14 @@ def _overlap_condition_hits(
 def _span_condition_hits(
     left: Sequence[int],
     right: Sequence[int],
+    left_rows: Mapping[int, Sequence[int]],
+    right_rows: Mapping[int, Sequence[int]],
     n: int,
     config: KNConfig,
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
     """Witnesses (a, p, s, q, r, span) of the sign-span-parity rule."""
     for a in range(2, n + 1):
-        for p, s in _bracket_pairs(left, right, a):
+        for p, s in _bracket_pairs(left_rows, right_rows, a):
             if p >= s:
                 continue
             for q in range(p, s + 1):
@@ -482,13 +506,16 @@ def _two_column_violations(
 ) -> list[Violation]:
     """The formatted two-column violations of columns j and j+1 (1-indexed)."""
     where = f"columns {j},{j + 1}"
+    left_rows, right_rows = _row_index(left), _row_index(right)
     out = [
         Violation(
             "bracket-pair-distance",
             f"{where}: bracket {-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
             f"has gap {(q - p) + (s - r)} >= {a - b}",
         )
-        for a, p, s, b, q, r in _pair_condition_hits(left, right, lie_type, n, config)
+        for a, p, s, b, q, r in _pair_condition_hits(
+            left_rows, right_rows, lie_type, n, config
+        )
     ]
     if lie_type in ("b", "d"):
         band = "zero-band-distance" if lie_type == "b" else "sign-band-distance"
@@ -498,7 +525,9 @@ def _two_column_violations(
                 f"{where}: bracket {-a}@{p}..{a}@{s} spans the band cells at rows "
                 f"{q},{r} with gap {(q - p) + (s - r)} >= {a - 1}",
             )
-            for a, p, s, q, r in _band_condition_hits(left, right, lie_type, n)
+            for a, p, s, q, r in _band_condition_hits(
+                left, right, left_rows, right_rows, lie_type, n
+            )
         )
         overlap = "zero-overlap" if lie_type == "b" else "sign-overlap"
         out.extend(
@@ -516,7 +545,9 @@ def _two_column_violations(
                 f"right, {left[r - 1]}@{r} left has span {span} and "
                 f"width {s - p} >= {a - 1}",
             )
-            for a, p, s, q, r, span in _span_condition_hits(left, right, n, config)
+            for a, p, s, q, r, span in _span_condition_hits(
+                left, right, left_rows, right_rows, n, config
+            )
         )
     return out
 
@@ -606,15 +637,19 @@ def _columns_compatible(
         row_pair_ok(left[i], right[i], lie_type) for i in range(len(right))
     ):
         return False
-    if next(_pair_condition_hits(left, right, lie_type, n, config), None):
+    left_rows, right_rows = _row_index(left), _row_index(right)
+    if next(_pair_condition_hits(left_rows, right_rows, lie_type, n, config), None):
         return False
     if lie_type in ("b", "d") and (
-        next(_band_condition_hits(left, right, lie_type, n), None)
+        next(
+            _band_condition_hits(left, right, left_rows, right_rows, lie_type, n),
+            None,
+        )
         or next(_overlap_condition_hits(left, right, lie_type), None)
     ):
         return False
     return lie_type != "d" or not next(
-        _span_condition_hits(left, right, n, config), None
+        _span_condition_hits(left, right, left_rows, right_rows, n, config), None
     )
 
 

@@ -22,6 +22,7 @@ labelled, up to the signed Weyl group, by a plain partition.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -40,7 +41,25 @@ class ResourceCapError(RuntimeError):
 
 
 class StabilizationError(RuntimeError):
-    """Raised when ranks n and n+1 keep disagreeing within the retry cap."""
+    """Raised when ranks n and n+1 keep disagreeing within the retry cap.
+
+    It carries the evidence its raiser has, each None where there is none:
+    ``first`` and ``second``, the last two label multisets compared;
+    ``expected``, the multiset they had to match; ``leftover``, the part of
+    a product that no basis element of the level absorbed.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        first: Mapping | None = None,
+        second: Mapping | None = None,
+        expected: Mapping | None = None,
+        leftover: object = None,
+    ):
+        super().__init__(message)
+        self.first, self.second = first, second
+        self.expected, self.leftover = expected, leftover
 
 
 def check_lie_type(lie_type: str) -> str:
@@ -61,8 +80,12 @@ def is_partition(parts: Sequence[int]) -> bool:
 
 
 def make_partition(parts: Sequence[int]) -> Partition:
-    """Normalize ``parts`` (trailing zeros dropped) and validate."""
-    trimmed = tuple(int(p) for p in parts)
+    """Normalize ``parts`` (trailing zeros dropped) and validate.
+
+    Parts must be integers: a float or a string raises TypeError instead of
+    being truncated or parsed.
+    """
+    trimmed = tuple(map(operator.index, parts))
     while trimmed and trimmed[-1] == 0:
         trimmed = trimmed[:-1]
     if not is_partition(trimmed):

@@ -243,6 +243,25 @@ def test_groth_errors(capsys):
     assert run(capsys, "groth", "h:0 * h:0", "--type", "c", "--degree", "99")[0] == 3
 
 
+def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
+    # force the scan to give up: ranks 2 and 3 disagree, and no escalation
+    from crystalline import grothendieck
+    from crystalline.crystal import stabilized_decomposition
+
+    def low(left, right, lie_type):
+        return stabilized_decomposition(
+            left, right, lie_type, n_start=2, max_escalations=0
+        )
+
+    monkeypatch.setattr(grothendieck, "stabilized_decomposition", low)
+    monkeypatch.setattr(grothendieck, "_POSI_ZERO_CACHE", {})
+    code, out, err = run(capsys, "groth", "pi:1@1*w:1", "--type", "b")
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("resource cap: decomposition did not stabilize by rank 4;")
+    assert "ranks 2 and 3 differ on 2 labels" in err
+
+
 def test_groth_noncommutativity_visible(capsys):
     _, hz, _ = run(capsys, "groth", "h:1 * z:1", "--type", "c")
     _, zh, _ = run(capsys, "groth", "z:1 * h:1", "--type", "c")
@@ -258,6 +277,7 @@ MALFORMED = [
     ("enumerate", "--type", "c", "--rank", "3", "--shape", "1,2"),
     ("enumerate", "--type", "c", "--rank", "2", "--shape", "1,1,1"),
     ("enumerate", "--type", "c", "--rank", "-1", "--shape", "1"),
+    ("enumerate", "--type", "c", "--rank", "3", "--shape", "1.5"),
     ("graph", "--type", "c", "--rank", "3", "--shape", "1,2"),
     ("graph", "--type", "d", "--rank", "1", "--shape", "1"),
     ("groth", "h:1*z:1", "--degree", "-5"),

@@ -40,9 +40,11 @@ from crystalline.tableaux import enumerate_kn, t_lambda
 from crystalline.weights import (
     DominantShape,
     ResourceCapError,
+    StabilizationError,
     Weight,
     pairing,
     partitions_of,
+    truncation_shape,
 )
 
 
@@ -469,6 +471,109 @@ def test_stabilized_rejects_two_dominant_factors():
     posi = TensorFactor.dominant(c_shape((), 1))
     with pytest.raises(ValueError):
         stabilized_decomposition(posi, posi, "c")
+
+
+def first_index_walk(shape, lie_type, n, order="right"):
+    """Reference source walk: restart at index 0 after every raising step."""
+    T = t_lambda(shape, lie_type, n)
+    while True:
+        word = reading_word(T, order)
+        for i in range(n):
+            if word_eps(word, i, lie_type, n):
+                T = crystal.tableau_op(T, "e", i, order)
+                break
+        else:
+            return T
+
+
+def walk_shapes(lie_type, n):
+    """Small shapes plus the rank-n models of a few dominant shapes, which
+    are the shapes the stabilized scans walk."""
+    shapes = sweep_shapes(lie_type, n, 3)
+    for lam, ell in [((), 1), ((1,), 1), ((2,), 1), ((1,), 2)]:
+        shapes.append(truncation_shape(DominantShape(lie_type, lam, ell), n))
+    return shapes
+
+
+def test_sweep_walk_reaches_the_unique_source(monkeypatch):
+    calls = []
+    checked = crystal.tableau_op
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(crystal, "tableau_op", counted)
+    walked = 0
+    for lie_type in ("b", "c", "d"):
+        for n in (2, 3, 4):
+            for shape in walk_shapes(lie_type, n):
+                del calls[:]
+                source = crystal._model_source(shape, lie_type, n, "right")
+                sweep_calls = len(calls)
+                del calls[:]
+                assert source == first_index_walk(shape, lie_type, n)
+                assert sweep_calls == len(calls), (lie_type, n, shape)
+                walked += sweep_calls > 0
+                for i in range(n):
+                    assert checked(source, "e", i) is None
+                if len(enumerate_kn(shape, lie_type, n)) <= 2_000:
+                    sources = build_graph(t_lambda(shape, lie_type, n)).sources()
+                    assert [v.factors[0] for v in sources] == [source]
+    assert walked > 50
+
+
+def test_sweep_walk_checks_every_step(monkeypatch):
+    # a validator that rejects everything turns the first raising step into
+    # a CrystalClosureError, so the walk cannot skip the check
+    monkeypatch.setattr(crystal, "kn_validate", lambda T: False)
+    with pytest.raises(CrystalClosureError):
+        crystal._model_source((1,), "c", 3, "right")
+
+
+def test_non_stabilization_carries_its_evidence():
+    # ranks 2 and 3 disagree for this product, and no escalation is allowed
+    left = TensorFactor.dominant(DominantShape("b", (1,), 1))
+    with pytest.raises(StabilizationError) as info:
+        stabilized_decomposition(
+            left, TensorFactor.zero((1,)), "b", n_start=2, max_escalations=0
+        )
+    err = info.value
+    scans = [
+        crystal._scan_at_rank(
+            left, TensorFactor.zero((1,)), "b", n, "right", crystal.DEFAULT_MAX_VERTICES
+        )
+        for n in (2, 3)
+    ]
+    assert [err.first, err.second] == scans and err.first != err.second
+    assert err.expected is None
+    message = str(err)
+    assert "\n" not in message and len(message) < 300
+    assert "ranks 2 and 3 differ on 2 labels" in message
+    assert "[1 | 1@1] 0/1" in message
+
+
+def test_non_stabilization_against_littlewood_richardson(monkeypatch):
+    # zero times zero also checks the scans against the LR expansion
+    mu = TensorFactor.zero((1,))
+    expected = {
+        StableComponent(nu, DominantShape("c", (), 0)): 1 for nu in [(2,), (1, 1)]
+    }
+    with pytest.raises(StabilizationError) as info:
+        stabilized_decomposition(mu, mu, "c", n_start=2, max_rank=2)
+    err = info.value
+    assert (err.first, err.second, err.expected) == (None, None, expected)
+    assert str(err) == "decomposition did not stabilize by rank 2"
+    # two scans that agree with each other but not with the LR labels
+    monkeypatch.setattr(crystal, "_scan_at_rank", lambda *args: {})
+    with pytest.raises(StabilizationError) as info:
+        stabilized_decomposition(mu, mu, "c", n_start=2, max_escalations=0)
+    err = info.value
+    assert (err.first, err.second, err.expected) == ({}, {}, expected)
+    assert str(err).endswith(
+        "ranks 2 and 3 agree but differ from the Littlewood-Richardson labels "
+        "on 2 labels: [1,1 | 0@0] 0/1, [2 | 0@0] 0/1"
+    )
 
 
 def test_tensor_factor_validation():

@@ -33,8 +33,14 @@ from crystalline.grothendieck import (
     shape_class,
     structure_constant,
 )
-from crystalline.symfunc import lr_expand
-from crystalline.weights import DominantShape, InvalidShapeError, partitions_of
+from crystalline.grothendieck import _expand_in_level_basis
+from crystalline.symfunc import SchurSeries, lr_expand
+from crystalline.weights import (
+    DominantShape,
+    InvalidShapeError,
+    StabilizationError,
+    partitions_of,
+)
 
 
 def generator_letters(lie_type):
@@ -503,6 +509,25 @@ def test_psi_is_a_homomorphism_composite_elements():
         u = groth_basis(lie, (1,), DominantShape(lie, (1,), 1))
         v = column_class(lie, 2)
         assert psi(groth_mul(u, v)) == psi(u) * psi(v), lie
+
+
+def test_level_basis_expansion_names_its_leftover():
+    # level 1 of type c has one shape per degree, read at s[1,1,1,1] in
+    # degree 4, so the other four terms are left over
+    product = SchurSeries(
+        4, {(4,): 2, (3, 1): -1, (2, 2): 3, (2, 1, 1): -1, (1, 1, 1, 1): 1}
+    )
+    with pytest.raises(StabilizationError) as info:
+        _expand_in_level_basis(product, "c", 1, 4)
+    err = info.value
+    assert err.first is err.second is err.expected is None
+    assert err.leftover == SchurSeries(
+        4, {(4,): 2, (3, 1): -1, (2, 2): 3, (2, 1, 1): -1}
+    )
+    assert str(err) == (
+        "degree 4 of the product is outside the level 1 basis span, leaving "
+        "-1*s[2,1,1] + 3*s[2,2] + -1*s[3,1] + 1 more term(s)"
+    )
 
 
 def test_psi_rejects_windowed_elements():

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from crystalline import tableaux
 from crystalline.symfunc import (
     LaurentPoly,
     monomials_to_schur,
@@ -467,6 +468,74 @@ def test_order_and_admissibility_violations():
     assert {v.clause for v in kn_violations(W)} == {"row-order"}
 
 
+# The fixtures of the violation tests above, each with its exact report:
+# the messages are part of the interface, so the indexed two-column rules
+# must keep them byte for byte.
+VIOLATION_STRINGS = [
+    (((2, 2), ((-1, -1), (1, 1)), "c", 2), DEFAULT_CONFIG, [
+        ("bracket-pair-distance",
+         "columns 1,2: bracket -1@1..1@2 with pair -1@1,1@2 has gap 0 >= 0"),
+        ("bracket-pair-distance",
+         "columns 1,2: bracket -1@1..1@2 with pair -1@1,1@2 has gap 0 >= 0"),
+    ]),
+    (((2, 2, 2), ((-2, 0), (0, 1), (1, 2)), "b", 3), DEFAULT_CONFIG, [
+        ("zero-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
+         "cells at rows 2,3 with gap 1 >= 1"),
+        ("zero-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
+         "cells at rows 1,2 with gap 1 >= 1"),
+    ]),
+    (((2, 2), ((-1, 0), (0, 1)), "b", 2), DEFAULT_CONFIG, [
+        ("zero-overlap", "columns 1,2: -1@1 left sits above 1@2 right"),
+    ]),
+    (((2, 2), ((1, 1), (-1, -1)), "d", 2), DEFAULT_CONFIG, [
+        ("sign-overlap", "columns 1,2: 1@1 left sits above -1@2 right"),
+    ]),
+    (((2, 2, 2), ((-2, -1), (1, 1), (-1, 2)), "d", 4), DEFAULT_CONFIG, [
+        ("sign-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
+         "cells at rows 2,3 with gap 1 >= 1"),
+        ("sign-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
+         "cells at rows 1,2 with gap 1 >= 1"),
+    ]),
+    (((2, 2, 2), ((-2, 1), (1, 2), (2, 3)), "d", 4), DEFAULT_CONFIG, [
+        ("sign-span-parity", "columns 1,2: bracket -2@1..2@2 with signs 1@1 "
+         "right, 1@2 left has span 2 and width 1 >= 1"),
+    ]),
+    (((1, 1), ((-1,), (1,)), "d", 2), DEFAULT_CONFIG, [
+        ("full-column-parity",
+         "column 1: -1 at row 1 of a full column (last row count 1)"),
+        ("full-column-parity",
+         "column 1: 1 at row 2 of a full column (last row count 1)"),
+    ]),
+    (((1, 1), ((2,), (1,)), "c", 2), DEFAULT_CONFIG, [
+        ("column-order", "column 1: 2 may not sit above 1"),
+    ]),
+    (((2,), ((2, 1),), "c", 2), DEFAULT_CONFIG, [
+        ("row-order", "row 1: 2 may not precede 1"),
+    ]),
+    (((1, 1), ((-2,), (2,)), "d", 2), DEFAULT_CONFIG, [
+        ("column-admissibility", "column 1: (-2, 2) at rank 2"),
+    ]),
+    (((2,), ((0, 0),), "b", 2), DEFAULT_CONFIG, [
+        ("row-order", "row 1: 0 may not precede 0"),
+    ]),
+    (((2, 2, 2), ((-3, 1), (-1, -1), (1, 3)), "d", 3), KNConfig(sign_span="qs"), [
+        ("sign-span-parity", "columns 1,2: bracket -3@1..3@3 with signs 1@1 "
+         "right, -1@2 left has span 3 and width 2 >= 2"),
+    ]),
+    (((2, 2, 2, 2), ((-4, -1), (-2, 1), (-1, 2), (1, 4)), "c", 4),
+     KNConfig(pair_scope="mixed"), [
+        ("bracket-pair-distance",
+         "columns 1,2: bracket -4@1..4@4 with pair -2@2,2@3 has gap 2 >= 2"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("args, config, expected", VIOLATION_STRINGS)
+def test_violation_strings_are_unchanged(args, config, expected):
+    T = KNTableau(*args)
+    assert [(v.clause, v.detail) for v in kn_violations(T, config)] == expected
+
+
 def test_sign_span_reading_is_adjudicated_by_characters():
     # the literal bottom-anchored span over-kills; the pairwise span matches
     literal = KNConfig(sign_span="qs")
@@ -562,6 +631,184 @@ def test_boolean_check_matches_violation_reports():
                     if rows != accepted[DEFAULT_CONFIG]:
                         differs.add(config)
     assert differs == set(ALL_READINGS[1:])
+
+
+# ---------------------------------------------------------------------------
+# reference definitions of the fast paths: per-z admissibility counts and
+# two-column witness generators that scan a column for every letter
+
+
+def ref_n_admissible(column, n, lie_type):
+    for x in column:
+        if not letter_ok(x, lie_type, n):
+            raise ValueError(f"letter {x} outside the rank-{n} alphabet")
+    if len(column) > n:
+        return False
+    for z in range(1, n + 1):
+        if sum(1 for x in column if abs(x) >= z) > n - z + 1:
+            return False
+    return True
+
+
+def ref_rows_of(column, letter):
+    return [i for i, x in enumerate(column, start=1) if x == letter]
+
+
+def ref_bracket_pairs(left, right, a):
+    for p in ref_rows_of(left, -a):
+        for s in ref_rows_of(right, a):
+            yield p, s
+
+
+def ref_pair_hits(left, right, lie_type, n, config):
+    b_lo = 1 if lie_type == "c" else 2
+    for a in range(b_lo, n + 1):
+        for p, s in ref_bracket_pairs(left, right, a):
+            for b in range(b_lo, a + 1):
+                witnesses = []
+                for col in (left, right):
+                    for q in ref_rows_of(col, -b):
+                        for r in ref_rows_of(col, b):
+                            witnesses.append((q, r))
+                if config.pair_scope == "mixed":
+                    for colq, colr in ((left, right), (right, left)):
+                        for q in ref_rows_of(colq, -b):
+                            for r in ref_rows_of(colr, b):
+                                # by identity: a column paired with itself as
+                                # one object also skips the right-to-left pair
+                                if b == a and colq is left and q == p and r == s:
+                                    continue
+                                witnesses.append((q, r))
+                for q, r in witnesses:
+                    if p <= q < r <= s and (q - p) + (s - r) >= a - b:
+                        yield a, p, s, b, q, r
+
+
+def ref_band_hits(left, right, lie_type, n):
+    band = {-1, 0, 1} if lie_type == "b" else {-1, 1}
+    for a in range(2, n + 1):
+        for p, s in ref_bracket_pairs(left, right, a):
+            if p >= s:
+                continue
+            for col in (left, right):
+                for q in range(p, s):
+                    r = q + 1
+                    if r > len(col):
+                        continue
+                    cq, cr = col[q - 1], col[r - 1]
+                    if cq in band and cr in band and (lie_type == "b" or cq != cr):
+                        if (q - p) + (s - r) >= a - 1:
+                            yield a, p, s, q, r
+
+
+def ref_span_hits(left, right, n, config):
+    for a in range(2, n + 1):
+        for p, s in ref_bracket_pairs(left, right, a):
+            if p >= s:
+                continue
+            for q in range(p, s + 1):
+                if q > len(right) or abs(right[q - 1]) != 1:
+                    continue
+                for r in range(q + 1, s + 1):
+                    if r > len(left) or abs(left[r - 1]) != 1:
+                        continue
+                    same = right[q - 1] == left[r - 1]
+                    span = {"qs": s - q + 1, "qr": r - q + 1, "pr": r - p + 1}[
+                        config.sign_span
+                    ]
+                    if (span % 2 == 0) == same and s - p >= a - 1:
+                        yield a, p, s, q, r, span
+
+
+def letter_strings(lie_type, n, h):
+    return list(itertools.product(alphabet(lie_type, n), repeat=h))
+
+
+def test_one_pass_admissibility_matches_per_z_counts():
+    verdicts = set()
+    for lie_type in ("b", "c", "d"):
+        for n in (1, 2, 3, 4):
+            for h in range(n + 2):
+                # every letter string up to rank 3, every ordered column at 4
+                if n <= 3:
+                    columns = letter_strings(lie_type, n, h)
+                else:
+                    columns = all_columns(lie_type, n, h)
+                for col in columns:
+                    ok = n_admissible(col, n, lie_type)
+                    assert ok == ref_n_admissible(col, n, lie_type), (lie_type, n, col)
+                    verdicts.add(ok)
+            bad = (0,) if lie_type != "b" else (n + 1,)
+            for col in (bad, (1,) + bad, (-n - 1, 1)):
+                with pytest.raises(ValueError, match="outside the rank"):
+                    n_admissible(col, n, lie_type)
+                with pytest.raises(ValueError, match="outside the rank"):
+                    ref_n_admissible(col, n, lie_type)
+    assert verdicts == {True, False}
+
+
+def adjacent_column_pairs(lie_type, n):
+    """Every (left, right) column pair of the adjacent heights in the shapes
+    of check_shapes: every letter string at rank 2, so that letters repeat
+    inside a column, and every ordered column at ranks 3 and 4."""
+    heights = set()
+    for shape in check_shapes(lie_type, n):
+        h = conjugate(tuple(abs(x) for x in shape))
+        heights.update(zip(h, h[1:]))
+    fill = letter_strings if n == 2 else all_columns
+    columns = {h: fill(lie_type, n, h) for pair in heights for h in pair}
+    for hl, hr in sorted(heights):
+        for left in columns[hl]:
+            for right in columns[hr]:
+                # distinct objects, as in a tableau (see the identity test)
+                yield left, tuple(list(right))
+
+
+def test_indexed_witnesses_match_the_scanning_generators():
+    hits = {"bracket": 0, "pair": 0, "band": 0, "span": 0}
+    for lie_type in ("b", "c", "d"):
+        for n in (2, 3, 4):
+            for left, right in adjacent_column_pairs(lie_type, n):
+                lr, rr = tableaux._row_index(left), tableaux._row_index(right)
+                for a in range(1, n + 1):
+                    got = list(tableaux._bracket_pairs(lr, rr, a))
+                    assert got == list(ref_bracket_pairs(left, right, a))
+                    hits["bracket"] += bool(got)
+                got = list(
+                    tableaux._band_condition_hits(left, right, lr, rr, lie_type, n)
+                )
+                assert got == list(ref_band_hits(left, right, lie_type, n))
+                hits["band"] += bool(got)
+                for config in ALL_READINGS:
+                    got = list(
+                        tableaux._pair_condition_hits(lr, rr, lie_type, n, config)
+                    )
+                    assert got == list(
+                        ref_pair_hits(left, right, lie_type, n, config)
+                    ), (lie_type, n, left, right, config)
+                    hits["pair"] += bool(got)
+                    got = list(
+                        tableaux._span_condition_hits(left, right, lr, rr, n, config)
+                    )
+                    assert got == list(ref_span_hits(left, right, n, config))
+                    hits["span"] += bool(got)
+    # every rule produced witnesses somewhere, so the comparisons had teeth
+    assert all(hits.values()), hits
+
+
+def test_straddling_pairs_are_judged_by_position():
+    # the reference compares columns by identity, so a column paired with
+    # itself as one object loses its right-to-left straddling brackets, which
+    # only repeat same-column witnesses; the indexed rule sees positions
+    # only, even when handed one index twice
+    mixed = KNConfig(pair_scope="mixed")
+    col = (-2, -1, 1, 2)
+    copy = tuple(list(col))
+    index = tableaux._row_index(col)
+    got = list(tableaux._pair_condition_hits(index, index, "c", 4, mixed))
+    assert got == list(ref_pair_hits(col, copy, "c", 4, mixed))
+    by_identity = list(ref_pair_hits(col, col, "c", 4, mixed))
+    assert set(got) == set(by_identity) and len(got) > len(by_identity)
 
 
 # ---------------------------------------------------------------------------

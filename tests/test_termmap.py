@@ -154,8 +154,13 @@ def test_cached_values_are_shared_read_only():
         lambda: LaurentPoly(1, {(1.5,): 1}),
         lambda: GrothElement("c", {_label((1,)): 2.0}),
         lambda: AElement("c", {AMonomial(hs=(1,)): "1"}),
+        lambda: SchurSeries(4, {(1.5,): 1}),
+        lambda: SchurSeries(4, {("2",): 1}),
     ],
-    ids=["half", "string", "float", "float-exponent", "groth-float", "algebra-string"],
+    ids=[
+        "half", "string", "float", "float-exponent", "groth-float", "algebra-string",
+        "float-part", "string-part",
+    ],
 )
 def test_constructors_reject_non_integers(build):
     with pytest.raises(TypeError):

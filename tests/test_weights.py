@@ -90,6 +90,12 @@ def test_partition_validation():
     assert make_partition((3, 2, 0, 0)) == (3, 2)
     with pytest.raises(InvalidShapeError):
         make_partition((1, 3))
+    # non-integer parts are rejected, not truncated or parsed
+    for parts in [(1.5,), (2.0,), ("2",), (3, 2.5), (1, None)]:
+        with pytest.raises(TypeError):
+            make_partition(parts)
+    with pytest.raises(TypeError):
+        DominantShape("c", (1.5,), 1)
 
 
 def test_conjugate_involution():
