@@ -9,12 +9,13 @@ The single-box crystals are chains through the barred and unbarred letters:
 * type d:  a diamond in the middle: -2 -> -1 and 1 -> 2 are labelled 1,
   while -2 -> 1 and -1 -> 2 are labelled 0.
 
-Raising and lowering on words follow the standard signature rule for the
-tensor product in which the lowering operator prefers the leftmost factor.
-Tableaux are read column by column from the rightmost column to the left,
-each column top to bottom ("right" order); the mirrored "left" order exists
-behind a flag but fails closure already on one row of two cells, which is
-how the default was selected.
+Raising and lowering follow the tensor signature rule, in which the
+lowering operator prefers the leftmost factor.  One reduction (``_reduce``)
+implements it on a sequence of (eps, phi) pairs: the letters of a word, or
+the factors of a tensor element.  Tableaux are read column by column from
+the rightmost column to the left, each column top to bottom.  (The mirrored
+reading, left to right and bottom to top, breaks closure already on one row
+of two cells; the tests keep it as a reference.)
 
 A tensor element is a tuple of tableau factors.  Graphs are generated by
 breadth-first closure under all raising and lowering operators, and
@@ -48,8 +49,6 @@ from crystalline.weights import (
     truncation_shape,
 )
 
-READING_ORDERS = ("right", "left")
-
 DEFAULT_MAX_VERTICES = 1_000_000
 
 
@@ -68,12 +67,6 @@ class CrystalClosureError(AssertionError):
             f"the type {tableau.lie_type} rank {tableau.rank} filling rules"
         )
         self.tableau, self.op, self.index, self.result = tableau, op, index, result
-
-
-def _check_order(order: str) -> str:
-    if order not in READING_ORDERS:
-        raise ValueError(f"unknown reading order {order!r}; use one of {READING_ORDERS}")
-    return order
 
 
 def _check_index(i: int, n: int) -> None:
@@ -150,19 +143,24 @@ def letter_phi(x: int, i: int, lie_type: str, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _letter_strings(
-    lie_type: str, n: int
-) -> dict[int, tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Per-letter raising and lowering string lengths over all indices."""
+def _letter_signatures(lie_type: str, n: int) -> tuple[dict[int, tuple[int, int]], ...]:
+    """Per index i, each letter's (eps_i, phi_i).
+
+    The tables share one tuple per distinct pair (most letters carry (0, 0)
+    at a given index), which keeps them small at the high ranks of a scan.
+    """
     letters = [k for k in range(1, n + 1)] + [-k for k in range(1, n + 1)]
     if lie_type == "b":
         letters.append(0)
-    out = {}
-    for x in letters:
-        eps = tuple(letter_eps(x, i, lie_type, n) for i in range(n))
-        phi = tuple(letter_phi(x, i, lie_type, n) for i in range(n))
-        out[x] = (eps, phi)
-    return out
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    tables = []
+    for i in range(n):
+        table = {}
+        for x in letters:
+            pair = (letter_eps(x, i, lie_type, n), letter_phi(x, i, lie_type, n))
+            table[x] = shared.setdefault(pair, pair)
+        tables.append(table)
+    return tuple(tables)
 
 
 def simple_root(i: int, lie_type: str) -> Weight:
@@ -183,49 +181,51 @@ def simple_root(i: int, lie_type: str) -> Weight:
 # words under the signature rule
 
 
-def _signature(
-    word: Sequence[int], i: int, lie_type: str, n: int
-) -> list[tuple[str, int]]:
-    """Reduced signature: '-' entries then '+' entries, each with a position."""
-    strings = _letter_strings(lie_type, n)
-    stack: list[tuple[str, int]] = []
-    for pos, x in enumerate(word):
-        eps_vec, phi_vec = strings[x]
-        for _ in range(eps_vec[i]):
-            if stack and stack[-1][0] == "+":
-                stack.pop()
-            else:
-                stack.append(("-", pos))
-        for _ in range(phi_vec[i]):
-            stack.append(("+", pos))
-    return stack
+def _reduce(
+    pairs: Iterable[tuple[int, int]],
+) -> tuple[int, int, int | None, int | None]:
+    """The signature rule on a sequence of (eps, phi) pairs.
 
-
-def _word_counts(word: Sequence[int], i: int, lie_type: str, n: int) -> tuple[int, int]:
-    """Surviving minus and plus counts of the reduced signature, no stack."""
-    strings = _letter_strings(lie_type, n)
+    Position k contributes eps_k minus signs followed by phi_k plus signs;
+    each minus cancels the nearest uncancelled plus to its left.  Returns
+    (minus, plus, e_pos, f_pos): the surviving minus and plus counts, the
+    position of the rightmost surviving minus (where raising acts) and of
+    the leftmost surviving plus (where lowering acts), None when there is
+    none.  Cancellation only removes the newest plus, so the leftmost
+    surviving plus is the first one pushed since the plus count was last 0.
+    """
     minus = plus = 0
-    for x in word:
-        eps_vec, phi_vec = strings[x]
-        k = eps_vec[i]
-        if k:
-            if k <= plus:
-                plus -= k
+    e_pos = f_pos = None
+    for pos, (eps, phi) in enumerate(pairs):
+        if eps:
+            if eps <= plus:
+                plus -= eps
             else:
-                minus += k - plus
+                minus += eps - plus
                 plus = 0
-        plus += phi_vec[i]
-    return minus, plus
+                e_pos = pos
+        if phi:
+            if not plus:
+                f_pos = pos
+            plus += phi
+    return minus, plus, e_pos, f_pos if plus else None
+
+
+def _word_signature(
+    word: Iterable[int], i: int, lie_type: str, n: int
+) -> tuple[int, int, int | None, int | None]:
+    """The reduced i-signature of a word of letters (see ``_reduce``)."""
+    return _reduce(map(_letter_signatures(lie_type, n)[i].__getitem__, word))
 
 
 def word_eps(word: Sequence[int], i: int, lie_type: str, n: int) -> int:
     _check_index(i, n)
-    return _word_counts(word, i, lie_type, n)[0]
+    return _word_signature(word, i, lie_type, n)[0]
 
 
 def word_phi(word: Sequence[int], i: int, lie_type: str, n: int) -> int:
     _check_index(i, n)
-    return _word_counts(word, i, lie_type, n)[1]
+    return _word_signature(word, i, lie_type, n)[1]
 
 
 def tensor_f(
@@ -233,11 +233,9 @@ def tensor_f(
 ) -> tuple[int, ...] | None:
     """Lower the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    stack = _signature(word, i, lie_type, n)
-    plus = [pos for sign, pos in stack if sign == "+"]
-    if not plus:
+    pos = _word_signature(word, i, lie_type, n)[3]
+    if pos is None:
         return None
-    pos = plus[0]
     out = list(word)
     out[pos] = letter_f(out[pos], i, lie_type, n)
     return tuple(out)
@@ -248,11 +246,9 @@ def tensor_e(
 ) -> tuple[int, ...] | None:
     """Raise the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    stack = _signature(word, i, lie_type, n)
-    minus = [pos for sign, pos in stack if sign == "-"]
-    if not minus:
+    pos = _word_signature(word, i, lie_type, n)[2]
+    if pos is None:
         return None
-    pos = minus[-1]
     out = list(word)
     out[pos] = letter_e(out[pos], i, lie_type, n)
     return tuple(out)
@@ -272,71 +268,70 @@ def word_weight(word: Sequence[int], rank: int) -> Weight:
 # tableaux as words
 
 
-def reading_positions(
-    shape: Sequence[int], order: str = "right"
-) -> tuple[tuple[int, int], ...]:
-    """Cell coordinates (row, col), 0-indexed, in reading order.
-
-    "right": columns right to left, each top to bottom.
-    "left": columns left to right, each bottom to top.
-    """
-    return _reading_positions(tuple(shape), _check_order(order))
+def reading_positions(shape: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Cell coordinates (row, col), 0-indexed, in reading order: columns
+    right to left, each top to bottom."""
+    return _reading_positions(tuple(shape))
 
 
 @lru_cache(maxsize=1024)
-def _reading_positions(
-    shape: tuple[int, ...], order: str
-) -> tuple[tuple[int, int], ...]:
+def _reading_positions(shape: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     widths = [abs(part) for part in shape]
     ncols = widths[0] if widths else 0
-    cols = range(ncols - 1, -1, -1) if order == "right" else range(ncols)
-    out = []
-    for j in cols:
-        rows = [i for i in range(len(widths)) if widths[i] > j]
-        if order == "left":
-            rows.reverse()
-        out.extend((i, j) for i in rows)
-    return tuple(out)
+    return tuple(
+        (i, j)
+        for j in range(ncols - 1, -1, -1)
+        for i in range(len(widths))
+        if widths[i] > j
+    )
 
 
-def reading_word(T: KNTableau, order: str = "right") -> tuple[int, ...]:
-    return tuple(T.rows[i][j] for i, j in reading_positions(T.shape, order))
+def reading_word(T: KNTableau) -> tuple[int, ...]:
+    return tuple(T.rows[i][j] for i, j in reading_positions(T.shape))
 
 
-def tableau_op(
-    T: KNTableau, op: str, i: int, order: str = "right"
-) -> KNTableau | None:
+def _tableau_signature(
+    T: KNTableau, i: int
+) -> tuple[int, int, int | None, int | None]:
+    return _word_signature(reading_word(T), i, T.lie_type, T.rank)
+
+
+def tableau_op(T: KNTableau, op: str, i: int) -> KNTableau | None:
     """Apply a raising ("e") or lowering ("f") operator to a tableau.
 
-    Every result is checked against the filling rules; one that breaks them
-    raises CrystalClosureError.
+    The operator changes the letter at the position of the reading word that
+    the signature rule selects.  Every result is checked against the filling
+    rules; one that breaks them raises CrystalClosureError.
     """
     if op not in ("e", "f"):
         raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
-    positions = reading_positions(T.shape, order)
-    word = [T.rows[r][c] for r, c in positions]
-    act = tensor_f if op == "f" else tensor_e
-    new_word = act(word, i, T.lie_type, T.rank)
-    if new_word is None:
+    lie_type, n, rows = T.lie_type, T.rank, T.rows
+    _check_index(i, n)
+    positions = reading_positions(T.shape)
+    _, _, e_pos, f_pos = _word_signature(
+        [rows[r][c] for r, c in positions], i, lie_type, n
+    )
+    pos = f_pos if op == "f" else e_pos
+    if pos is None:
         return None
-    changed = next(k for k in range(len(word)) if word[k] != new_word[k])
-    r, c = positions[changed]
-    rows = list(T.rows)
+    r, c = positions[pos]
     row = list(rows[r])
-    row[c] = new_word[changed]
-    rows[r] = tuple(row)
-    out = KNTableau._trusted(T.shape, tuple(rows), T.lie_type, T.rank)
+    act = letter_f if op == "f" else letter_e
+    row[c] = act(row[c], i, lie_type, n)
+    out = KNTableau._trusted(
+        T.shape, rows[:r] + (tuple(row),) + rows[r + 1 :], lie_type, n
+    )
     if not kn_validate(out):
         raise CrystalClosureError(T, op, i, out)
     return out
 
 
-def tableau_eps(T: KNTableau, i: int, order: str = "right") -> int:
-    return word_eps(reading_word(T, order), i, T.lie_type, T.rank)
+def tableau_eps(T: KNTableau, i: int) -> int:
+    return word_eps(reading_word(T), i, T.lie_type, T.rank)
 
 
-def tableau_phi(T: KNTableau, i: int, order: str = "right") -> int:
-    return word_phi(reading_word(T, order), i, T.lie_type, T.rank)
+def tableau_phi(T: KNTableau, i: int) -> int:
+    return word_phi(reading_word(T), i, T.lie_type, T.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -373,59 +368,39 @@ class CrystalElement:
             total = total + T.weight()
         return total
 
-    def word(self, order: str = "right") -> tuple[int, ...]:
+    def word(self) -> tuple[int, ...]:
         return tuple(
-            itertools.chain.from_iterable(reading_word(T, order) for T in self.factors)
+            itertools.chain.from_iterable(reading_word(T) for T in self.factors)
         )
 
     def sort_key(self) -> tuple:
         return tuple((T.shape, T.rows) for T in self.factors)
 
-    def op(self, op: str, i: int, order: str = "right") -> "CrystalElement | None":
-        """Apply the operator through the tensor signature rule."""
+    def op(self, op: str, i: int) -> "CrystalElement | None":
+        """Apply the operator through the tensor signature rule: each factor
+        contributes its (eps_i, phi_i), and the reduction of those pairs
+        selects the factor the operator acts on."""
         if op not in ("e", "f"):
             raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
-        lie_type, n = self.lie_type, self.rank
-        _check_index(i, n)
-        if op == "f":
-            values = [tableau_phi(T, i, order) for T in self.factors]
-            others = [tableau_eps(T, i, order) for T in self.factors]
-        else:
-            values = [tableau_eps(T, i, order) for T in self.factors]
-            others = [tableau_phi(T, i, order) for T in self.factors]
-        # reduce factor-level signatures exactly like letter-level ones
-        stack: list[tuple[str, int]] = []
-        first_sign = "-" if op == "f" else "+"
-        for pos in range(len(self.factors)):
-            eps = others[pos] if op == "f" else values[pos]
-            phi = values[pos] if op == "f" else others[pos]
-            for _ in range(eps):
-                if stack and stack[-1][0] == "+":
-                    stack.pop()
-                else:
-                    stack.append(("-", pos))
-            for _ in range(phi):
-                stack.append(("+", pos))
-        if op == "f":
-            slots = [pos for sign, pos in stack if sign == "+"]
-            target = slots[0] if slots else None
-        else:
-            slots = [pos for sign, pos in stack if sign == "-"]
-            target = slots[-1] if slots else None
+        _check_index(i, self.rank)
+        _, _, e_pos, f_pos = _reduce(
+            _tableau_signature(T, i)[:2] for T in self.factors
+        )
+        target = f_pos if op == "f" else e_pos
         if target is None:
             return None
-        changed = tableau_op(self.factors[target], op, i, order)
+        changed = tableau_op(self.factors[target], op, i)
         if changed is None:
             return None
         factors = list(self.factors)
         factors[target] = changed
         return CrystalElement(tuple(factors))
 
-    def eps(self, i: int, order: str = "right") -> int:
-        return word_eps(self.word(order), i, self.lie_type, self.rank)
+    def eps(self, i: int) -> int:
+        return word_eps(self.word(), i, self.lie_type, self.rank)
 
-    def phi(self, i: int, order: str = "right") -> int:
-        return word_phi(self.word(order), i, self.lie_type, self.rank)
+    def phi(self, i: int) -> int:
+        return word_phi(self.word(), i, self.lie_type, self.rank)
 
     def label(self) -> str:
         def one(T: KNTableau) -> str:
@@ -504,7 +479,6 @@ class CrystalGraph:
 def build_graph(
     seed: "KNTableau | CrystalElement",
     max_vertices: int = DEFAULT_MAX_VERTICES,
-    order: str = "right",
 ) -> CrystalGraph:
     """Breadth-first closure of the seed under all operators."""
     start = as_element(seed)
@@ -516,13 +490,13 @@ def build_graph(
         new: list[CrystalElement] = []
         for v in frontier:
             for i in range(n):
-                down = v.op("f", i, order)
+                down = v.op("f", i)
                 if down is not None:
                     arrows[(v, i)] = down
                     if down not in seen:
                         seen.add(down)
                         new.append(down)
-                up = v.op("e", i, order)
+                up = v.op("e", i)
                 if up is not None:
                     arrows[(up, i)] = v
                     if up not in seen:
@@ -542,14 +516,13 @@ def build_graph(
 
 
 def _eps_phi_table(
-    tableaux: Sequence[KNTableau], n: int, order: str
+    tableaux: Sequence[KNTableau], n: int
 ) -> list[tuple[KNTableau, tuple[int, ...], tuple[int, ...]]]:
     out = []
     for T in tableaux:
-        word = reading_word(T, order)
-        eps = tuple(word_eps(word, i, T.lie_type, n) for i in range(n))
-        phi = tuple(word_phi(word, i, T.lie_type, n) for i in range(n))
-        out.append((T, eps, phi))
+        word = reading_word(T)
+        sigs = [_word_signature(word, i, T.lie_type, n) for i in range(n)]
+        out.append((T, tuple(s[0] for s in sigs), tuple(s[1] for s in sigs)))
     return out
 
 
@@ -564,9 +537,7 @@ def _graph_tableaux(graph_or_seq) -> list[KNTableau]:
     return list(graph_or_seq)
 
 
-def tensor_highest_weights(
-    left, right, order: str = "right"
-) -> list[tuple[KNTableau, KNTableau]]:
+def tensor_highest_weights(left, right) -> list[tuple[KNTableau, KNTableau]]:
     """All pairs killed by every raising operator, in deterministic order."""
     lefts = _graph_tableaux(left)
     rights = _graph_tableaux(right)
@@ -575,8 +546,8 @@ def tensor_highest_weights(
     if lefts[0].lie_type != rights[0].lie_type or lefts[0].rank != rights[0].rank:
         raise ValueError("tensor factors must share type and rank")
     n = lefts[0].rank
-    left_table = _eps_phi_table(lefts, n, order)
-    right_table = _eps_phi_table(rights, n, order)
+    left_table = _eps_phi_table(lefts, n)
+    right_table = _eps_phi_table(rights, n)
     out = []
     for x, eps_x, phi_x in left_table:
         if any(eps_x):
@@ -588,9 +559,9 @@ def tensor_highest_weights(
     return out
 
 
-def hw_decompose_tensor(left, right, order: str = "right") -> dict[tuple[int, ...], int]:
+def hw_decompose_tensor(left, right) -> dict[tuple[int, ...], int]:
     """Multiset of rank-n source weights of a tensor of two crystals."""
-    pairs = tensor_highest_weights(left, right, order)
+    pairs = tensor_highest_weights(left, right)
     out: dict[tuple[int, ...], int] = {}
     for x, y in pairs:
         n = x.rank
@@ -705,9 +676,7 @@ class TensorFactor:
         return self.mu if self.kappa is None else self.kappa.lam
 
 
-def _model_source(
-    shape: Sequence[int], lie_type: str, n: int, order: str
-) -> KNTableau:
+def _model_source(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
     """The unique vertex killed by every raising operator, reached by
     walking raising arrows up from the canonical filling.
 
@@ -721,9 +690,9 @@ def _model_source(
     while moved:
         moved = False
         for i in range(n):
-            steps = _word_counts(reading_word(T, order), i, lie_type, n)[0]
+            steps = _tableau_signature(T, i)[0]
             for _ in range(steps):
-                T = tableau_op(T, "e", i, order)
+                T = tableau_op(T, "e", i)
             moved = moved or steps > 0
     return T
 
@@ -733,7 +702,6 @@ def _scan_at_rank(
     right: TensorFactor,
     lie_type: str,
     n: int,
-    order: str,
     max_count: int,
 ) -> dict[StableComponent, int]:
     """Source weights of the rank-n model tensor, filtered and translated.
@@ -741,17 +709,16 @@ def _scan_at_rank(
     The left model is a single connected crystal, so only its source is
     materialized; the right model is enumerated in full.
     """
-    source = _model_source(left.rank_model_shape(n), lie_type, n, order)
-    word_x = reading_word(source, order)
-    phi_x = tuple(word_phi(word_x, i, lie_type, n) for i in range(n))
+    source = _model_source(left.rank_model_shape(n), lie_type, n)
+    phi_x = tuple(_tableau_signature(source, i)[1] for i in range(n))
     weight_x = source.weight()
     tail = left.level_tail() + right.level_tail()
     zero_size = left.zero_size() + right.zero_size()
     out: dict[StableComponent, int] = {}
     for y in enumerate_kn(right.rank_model_shape(n), lie_type, n, max_count=max_count):
-        word_y = reading_word(y, order)
+        word_y = reading_word(y)
         if not all(
-            _word_counts(word_y, i, lie_type, n)[0] <= phi_x[i] for i in range(n)
+            _word_signature(word_y, i, lie_type, n)[0] <= phi_x[i] for i in range(n)
         ):
             continue
         window = (weight_x + y.weight()).window(n)
@@ -769,7 +736,6 @@ def stabilized_decomposition(
     n_start: int | None = None,
     max_escalations: int = 2,
     max_rank: int = 24,
-    order: str = "right",
     max_count: int = DEFAULT_MAX_VERTICES,
 ) -> dict[StableComponent, int]:
     """Decompose a tensor of two rank-free crystals into component labels.
@@ -816,8 +782,8 @@ def stabilized_decomposition(
     for _ in range(max_escalations + 1):
         if n + step > max_rank:
             break
-        first = _scan_at_rank(left, right, lie_type, n, order, max_count)
-        second = _scan_at_rank(left, right, lie_type, n + step, order, max_count)
+        first = _scan_at_rank(left, right, lie_type, n, max_count)
+        second = _scan_at_rank(left, right, lie_type, n + step, max_count)
         if first == second and (expected is None or first == expected):
             return first
         n += 2

@@ -17,13 +17,18 @@ stable clause name so that sweeps can pinpoint which filling rule failed:
   absolute value at least z.
 * ``bracket-pair-distance``: inside a bracket (barred a in the left column
   above unbarred a in the right column) a barred/unbarred witness pair for a
-  smaller letter must sit close to the bracket ends.
+  smaller letter, both cells in one column, must sit close to the bracket
+  ends.
 * ``zero-band-distance`` / ``zero-overlap``: the odd orthogonal rules for
   cells from {-1, 0, 1}.
 * ``sign-band-distance`` / ``sign-overlap`` / ``sign-span-parity``: the even
   orthogonal rules for cells from {-1, 1}.
 * ``full-column-parity``: the even orthogonal rule pinning at which rows of
   a full-height column the letters 1 and -1 may appear.
+
+These are the readings of the infinite-rank Kashiwara-Nakashima rules that
+the determinant characters confirm; the rejected alternatives live in the
+tests, as references that show where each one fails.
 
 Two-column spinor pairs hold positive integers: the left column of length
 a+c starts b+1 rows down, the right column of length b+c starts at the top,
@@ -49,8 +54,6 @@ from crystalline.weights import (
 )
 
 __all__ = [
-    "DEFAULT_CONFIG",
-    "KNConfig",
     "KNTableau",
     "SpinorColumnPair",
     "Violation",
@@ -150,55 +153,6 @@ def n_admissible(column: Sequence[int], n: int, lie_type: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# configuration of the deliberately flagged readings
-
-
-@dataclass(frozen=True)
-class KNConfig:
-    """Selects between alternative readings of the two-column filling rules.
-
-    pair_scope
-        Where the witness pair (barred b above unbarred b) of the
-        bracket-pair rule may live.  ``"same"`` (default) requires the pair
-        to sit inside a single column, either the left or the right one.
-        ``"mixed"`` additionally admits pairs straddling the two columns;
-        a straddling pair never reuses both bracket cells at once.
-    sign_span
-        Which row span carries the parity in the signed-span rule of the
-        even orthogonal type.  Writing p/s for the rows of the bracket
-        (barred a left, unbarred a right) and q/r for the rows of the
-        right-column and left-column sign cells (q < r), the span is
-        r-q+1 for ``"qr"`` (default: the rows between the two sign cells),
-        s-q+1 for ``"qs"``, and r-p+1 for ``"pr"``.  Only ``"qr"``
-        reproduces the determinant characters on full-height shapes with
-        more than one column.
-    full_parity
-        How the row parity of 1 and -1 in full-height columns is anchored.
-        ``"row"`` (default) fixes the parity of the row index: for a shape
-        with positive last row, 1 sits only at odd rows and -1 only at even
-        rows, and the parities swap for a signed shape.  ``"depth"``
-        anchors the same alternation at the bottom row instead; the two
-        agree at even rank, and only ``"row"`` keeps the canonical tableau
-        valid at odd rank.
-    """
-
-    pair_scope: str = "same"
-    sign_span: str = "qr"
-    full_parity: str = "row"
-
-    def __post_init__(self) -> None:
-        if self.pair_scope not in ("same", "mixed"):
-            raise ValueError(f"unknown pair_scope {self.pair_scope!r}")
-        if self.sign_span not in ("qs", "qr", "pr"):
-            raise ValueError(f"unknown sign_span {self.sign_span!r}")
-        if self.full_parity not in ("row", "depth"):
-            raise ValueError(f"unknown full_parity {self.full_parity!r}")
-
-
-DEFAULT_CONFIG = KNConfig()
-
-
-# ---------------------------------------------------------------------------
 # shapes and the tableau container
 
 
@@ -208,10 +162,11 @@ def normalize_shape(shape: Sequence[int], lie_type: str, n: int) -> tuple[int, .
     Partitions are returned with trailing zeros stripped; their height must
     not exceed n.  A signed shape (negative last row count) is allowed only
     in the even orthogonal case, must have exactly n rows, and its absolute
-    row counts must still be weakly decreasing.
+    row counts must still be weakly decreasing.  Parts must be integers: a
+    float or a string raises TypeError instead of being truncated or parsed.
     """
     check_lie_type(lie_type)
-    parts = tuple(int(x) for x in shape)
+    parts = tuple(map(operator.index, shape))
     if parts and parts[-1] < 0:
         if lie_type != "d":
             raise InvalidShapeError(
@@ -259,7 +214,7 @@ class KNTableau:
     def __post_init__(self) -> None:
         signed = normalize_shape(self.shape, self.lie_type, self.rank)
         object.__setattr__(self, "shape", signed)
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         widths = _abs_shape(signed)
         if tuple(len(row) for row in rows) != widths:
@@ -397,32 +352,19 @@ def _pair_condition_hits(
     right_rows: Mapping[int, Sequence[int]],
     lie_type: str,
     n: int,
-    config: KNConfig,
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Witnesses (a, p, s, b, q, r) of the bracket-pair rule."""
+    """Witnesses (a, p, s, b, q, r) of the bracket-pair rule; the witness
+    pair (barred b at row q above unbarred b at row r) sits inside one
+    column, the left one first."""
     b_lo = 1 if lie_type == "c" else 2
-    mixed = config.pair_scope == "mixed"
     for a in range(b_lo, n + 1):
         for p, s in _bracket_pairs(left_rows, right_rows, a):
             for b in range(b_lo, a + 1):
-                witnesses: list[tuple[int, int]] = []
                 for rows in (left_rows, right_rows):
                     for q in rows.get(-b, ()):
                         for r in rows.get(b, ()):
-                            witnesses.append((q, r))
-                if mixed:
-                    # straddling pairs, left to right and then right to left;
-                    # only the first can be the bracket itself
-                    for q in left_rows.get(-b, ()):
-                        for r in right_rows.get(b, ()):
-                            if not (b == a and q == p and r == s):
-                                witnesses.append((q, r))
-                    for q in right_rows.get(-b, ()):
-                        for r in left_rows.get(b, ()):
-                            witnesses.append((q, r))
-                for q, r in witnesses:
-                    if p <= q < r <= s and (q - p) + (s - r) >= a - b:
-                        yield a, p, s, b, q, r
+                            if p <= q < r <= s and (q - p) + (s - r) >= a - b:
+                                yield a, p, s, b, q, r
 
 
 def _band_condition_hits(
@@ -475,9 +417,10 @@ def _span_condition_hits(
     left_rows: Mapping[int, Sequence[int]],
     right_rows: Mapping[int, Sequence[int]],
     n: int,
-    config: KNConfig,
 ) -> Iterator[tuple[int, int, int, int, int, int]]:
-    """Witnesses (a, p, s, q, r, span) of the sign-span-parity rule."""
+    """Witnesses (a, p, s, q, r, span) of the sign-span-parity rule: the
+    span r-q+1 runs over the rows between the right-column sign cell at row
+    q and the left-column sign cell at row r."""
     for a in range(2, n + 1):
         for p, s in _bracket_pairs(left_rows, right_rows, a):
             if p >= s:
@@ -489,9 +432,7 @@ def _span_condition_hits(
                     if r > len(left) or abs(left[r - 1]) != 1:
                         continue
                     same = right[q - 1] == left[r - 1]
-                    span = {"qs": s - q + 1, "qr": r - q + 1, "pr": r - p + 1}[
-                        config.sign_span
-                    ]
+                    span = r - q + 1
                     if (span % 2 == 0) == same and s - p >= a - 1:
                         yield a, p, s, q, r, span
 
@@ -501,7 +442,6 @@ def _two_column_violations(
     right: Sequence[int],
     lie_type: str,
     n: int,
-    config: KNConfig,
     j: int,
 ) -> list[Violation]:
     """The formatted two-column violations of columns j and j+1 (1-indexed)."""
@@ -513,9 +453,7 @@ def _two_column_violations(
             f"{where}: bracket {-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
             f"has gap {(q - p) + (s - r)} >= {a - b}",
         )
-        for a, p, s, b, q, r in _pair_condition_hits(
-            left_rows, right_rows, lie_type, n, config
-        )
+        for a, p, s, b, q, r in _pair_condition_hits(left_rows, right_rows, lie_type, n)
     ]
     if lie_type in ("b", "d"):
         band = "zero-band-distance" if lie_type == "b" else "sign-band-distance"
@@ -546,36 +484,28 @@ def _two_column_violations(
                 f"width {s - p} >= {a - 1}",
             )
             for a, p, s, q, r, span in _span_condition_hits(
-                left, right, left_rows, right_rows, n, config
+                left, right, left_rows, right_rows, n
             )
         )
     return out
 
 
-def _parity_ok(x: int, k: int, n: int, sign: int, mode: str) -> bool:
-    if mode == "row":
-        if (x == 1) == (sign > 0):
-            return k % 2 == 1
-        return k % 2 == 0
-    depth = n - k
-    if (x == -1) == (sign > 0):
-        return depth % 2 == 0
-    return depth % 2 == 1
+def _parity_ok(x: int, k: int, sign: int) -> bool:
+    """Whether the letter x (1 or -1) may sit at row k of a full-height
+    column: for a shape with positive last row, 1 sits only at odd rows and
+    -1 only at even rows, and the parities swap for a signed shape."""
+    return (k % 2 == 1) == ((x == 1) == (sign > 0))
 
 
-def _column_parity_ok(
-    column: Sequence[int], n: int, sign: int, mode: str
-) -> bool:
+def _column_parity_ok(column: Sequence[int], sign: int) -> bool:
     return all(
-        _parity_ok(x, k, n, sign, mode)
+        _parity_ok(x, k, sign)
         for k, x in enumerate(column, start=1)
         if abs(x) == 1
     )
 
 
-def kn_violations(
-    T: KNTableau, config: KNConfig = DEFAULT_CONFIG
-) -> tuple[Violation, ...]:
+def kn_violations(T: KNTableau) -> tuple[Violation, ...]:
     """Every broken filling rule of T, each named by a stable clause string."""
     out: list[Violation] = []
     lie_type, n = T.lie_type, T.rank
@@ -607,9 +537,7 @@ def kn_violations(
         for j, col in enumerate(cols, start=1):
             if len(col) == n:
                 for k, x in enumerate(col, start=1):
-                    if abs(x) == 1 and not _parity_ok(
-                        x, k, n, sign, config.full_parity
-                    ):
+                    if abs(x) == 1 and not _parity_ok(x, k, sign):
                         out.append(
                             Violation(
                                 "full-column-parity",
@@ -618,9 +546,7 @@ def kn_violations(
                             )
                         )
     for j in range(len(cols) - 1):
-        out.extend(
-            _two_column_violations(cols[j], cols[j + 1], lie_type, n, config, j + 1)
-        )
+        out.extend(_two_column_violations(cols[j], cols[j + 1], lie_type, n, j + 1))
     return tuple(out)
 
 
@@ -629,7 +555,6 @@ def _columns_compatible(
     right: tuple[int, ...],
     lie_type: str,
     n: int,
-    config: KNConfig,
 ) -> bool:
     """Whether two adjacent columns keep their rows in order and break no
     two-column rule; stops at the first witness and formats nothing."""
@@ -638,7 +563,7 @@ def _columns_compatible(
     ):
         return False
     left_rows, right_rows = _row_index(left), _row_index(right)
-    if next(_pair_condition_hits(left_rows, right_rows, lie_type, n, config), None):
+    if next(_pair_condition_hits(left_rows, right_rows, lie_type, n), None):
         return False
     if lie_type in ("b", "d") and (
         next(
@@ -649,15 +574,14 @@ def _columns_compatible(
     ):
         return False
     return lie_type != "d" or not next(
-        _span_condition_hits(left, right, left_rows, right_rows, n, config), None
+        _span_condition_hits(left, right, left_rows, right_rows, n), None
     )
 
 
 # Small LRU memos for kn_validate, keyed by the column or column pair, the
-# type and the rank (and the config, for pairs): a breadth-first crystal walk
-# checks the same columns and pairs again within a few frontiers, while
-# source walks do not revisit pairs, so larger tables only add memory to a
-# long session.
+# type and the rank: a breadth-first crystal walk checks the same columns and
+# pairs again within a few frontiers, while source walks do not revisit
+# pairs, so larger tables only add memory to a long session.
 
 
 @lru_cache(maxsize=512)
@@ -671,8 +595,8 @@ def _column_ok(column: tuple[int, ...], lie_type: str, n: int) -> bool:
 _pair_ok = lru_cache(maxsize=1024)(_columns_compatible)
 
 
-def kn_validate(T: KNTableau, config: KNConfig = DEFAULT_CONFIG) -> bool:
-    """Whether T breaks no filling rule, i.e. ``not kn_violations(T, config)``.
+def kn_validate(T: KNTableau) -> bool:
+    """Whether T breaks no filling rule, i.e. ``not kn_violations(T)``.
 
     Decided per column (order and admissibility, plus the full-column parity
     where it applies) and per adjacent column pair (row order and the
@@ -684,13 +608,10 @@ def kn_validate(T: KNTableau, config: KNConfig = DEFAULT_CONFIG) -> bool:
         return False
     if lie_type == "d" and len(T.shape) == n and T.shape:
         sign = 1 if T.shape[-1] > 0 else -1
-        mode = config.full_parity
-        if not all(
-            _column_parity_ok(col, n, sign, mode) for col in cols if len(col) == n
-        ):
+        if not all(_column_parity_ok(col, sign) for col in cols if len(col) == n):
             return False
     return all(
-        _pair_ok(cols[j], cols[j + 1], lie_type, n, config)
+        _pair_ok(cols[j], cols[j + 1], lie_type, n)
         for j in range(len(cols) - 1)
     )
 
@@ -756,7 +677,6 @@ def enumerate_kn(
     shape: Sequence[int],
     lie_type: str,
     n: int,
-    config: KNConfig = DEFAULT_CONFIG,
     max_count: int = 1_000_000,
 ) -> tuple[KNTableau, ...]:
     """The complete set of valid fillings of the shape at rank n, sorted.
@@ -774,9 +694,7 @@ def enumerate_kn(
         cols = _admissible_columns(lie_type, n, h)
         if lie_type == "d" and h == n and len(signed) == n and signed:
             sign = 1 if signed[-1] > 0 else -1
-            cols = tuple(
-                c for c in cols if _column_parity_ok(c, n, sign, config.full_parity)
-            )
+            cols = tuple(c for c in cols if _column_parity_ok(c, sign))
         candidates.append(cols)
     # Per call: for each pair of adjacent heights, the columns that may
     # follow a given left column, computed the first time that column
@@ -802,7 +720,7 @@ def enumerate_kn(
                 options = table[left] = [
                     col
                     for col in candidates[j]
-                    if _columns_compatible(left, col, lie_type, n, config)
+                    if _columns_compatible(left, col, lie_type, n)
                 ]
         for col in options:
             chosen.append(col)
@@ -839,8 +757,8 @@ class SpinorColumnPair:
         a, b, c = self.a, self.b, self.c
         if min(a, b, c) < 0:
             raise ValueError("column frame parameters must be nonnegative")
-        left = tuple(int(x) for x in self.left)
-        right = tuple(int(x) for x in self.right)
+        left = tuple(map(operator.index, self.left))
+        right = tuple(map(operator.index, self.right))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         if len(left) != a + c or len(right) != b + c:

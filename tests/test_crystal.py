@@ -1,5 +1,6 @@
 """Tests for crystal operators, graph generation and stabilized decompositions."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -36,7 +37,7 @@ from crystalline.crystal import (
     word_weight,
 )
 from crystalline.symfunc import lr_expand, sigma_char
-from crystalline.tableaux import enumerate_kn, t_lambda
+from crystalline.tableaux import KNTableau, enumerate_kn, kn_validate, t_lambda
 from crystalline.weights import (
     DominantShape,
     ResourceCapError,
@@ -175,6 +176,56 @@ def test_signature_cancellation():
     assert word_phi((1, -1), 0, "c", 2) == 1
 
 
+def brute_signature(word, i, lie_type, n):
+    """The reduced i-signature by the definition: write out every sign with
+    its position, cancel adjacent (+, -) pairs until none remain, and read
+    off the surviving counts, the rightmost - and the leftmost +."""
+    signs = []
+    for pos, x in enumerate(word):
+        signs += [("-", pos)] * letter_eps(x, i, lie_type, n)
+        signs += [("+", pos)] * letter_phi(x, i, lie_type, n)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(signs) - 1):
+            if signs[k][0] == "+" and signs[k + 1][0] == "-":
+                del signs[k : k + 2]
+                changed = True
+                break
+    minus = [pos for sign, pos in signs if sign == "-"]
+    plus = [pos for sign, pos in signs if sign == "+"]
+    return (
+        len(minus),
+        len(plus),
+        minus[-1] if minus else None,
+        plus[0] if plus else None,
+    )
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_one_reduction_matches_pairwise_cancellation(lie_type):
+    seen = set()
+    for n in (2, 3):
+        letters = [x for x in range(-n, n + 1) if x != 0 or lie_type == "b"]
+        for length in range(5):
+            for word in itertools.product(letters, repeat=length):
+                for i in range(n):
+                    want = brute_signature(word, i, lie_type, n)
+                    assert crystal._word_signature(word, i, lie_type, n) == want
+                    minus, plus, e_pos, f_pos = want
+                    assert word_eps(word, i, lie_type, n) == minus
+                    assert word_phi(word, i, lie_type, n) == plus
+                    for act, pos in ((tensor_f, f_pos), (tensor_e, e_pos)):
+                        out = act(word, i, lie_type, n)
+                        if pos is None:
+                            assert out is None
+                        else:
+                            diff = [k for k in range(length) if out[k] != word[k]]
+                            assert diff == [pos]
+                    seen.add((minus > 0, plus > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_operator_index_bounds():
     with pytest.raises(IndexError):
         tensor_f((1,), 2, "c", 2)
@@ -194,37 +245,57 @@ def test_simple_roots():
 
 
 # ---------------------------------------------------------------------------
-# reading orders on tableaux
+# the reading of tableaux, and the rejected mirrored reading
+
+
+def mirrored_positions(shape):
+    """The rejected reading: columns left to right, each bottom to top,
+    which is the library's reading reversed."""
+    return reading_positions(shape)[::-1]
+
+
+def mirrored_op(T, op, i):
+    """A tableau operator under the mirrored reading, with no closure check."""
+    positions = mirrored_positions(T.shape)
+    word = [T.rows[r][c] for r, c in positions]
+    act = tensor_f if op == "f" else tensor_e
+    new_word = act(word, i, T.lie_type, T.rank)
+    if new_word is None:
+        return None
+    rows = [list(row) for row in T.rows]
+    for (r, c), x in zip(positions, new_word):
+        rows[r][c] = x
+    return KNTableau(T.shape, tuple(map(tuple, rows)), T.lie_type, T.rank)
 
 
 def test_reading_positions_both_orders():
-    assert reading_positions((2, 1), "right") == ((0, 1), (0, 0), (1, 0))
-    assert reading_positions((2, 1), "left") == ((1, 0), (0, 0), (0, 1))
-    assert reading_positions((1, 1, -1), "right") == ((0, 0), (1, 0), (2, 0))
-    assert reading_positions((1, 1, -1), "left") == ((2, 0), (1, 0), (0, 0))
+    assert reading_positions((2, 1)) == ((0, 1), (0, 0), (1, 0))
+    assert mirrored_positions((2, 1)) == ((1, 0), (0, 0), (0, 1))
+    assert reading_positions((1, 1, -1)) == ((0, 0), (1, 0), (2, 0))
+    assert mirrored_positions((1, 1, -1)) == ((2, 0), (1, 0), (0, 0))
 
 
 def test_reading_word_of_the_top_filling():
     T = t_lambda((2, 1), "c", 3)
     assert T.rows == ((1, 1), (2,))
-    assert reading_word(T, "right") == (1, 1, 2)
-    assert reading_word(T, "left") == (2, 1, 1)
+    assert reading_word(T) == (1, 1, 2)
+    assert tuple(T.rows[r][c] for r, c in mirrored_positions(T.shape)) == (2, 1, 1)
 
 
 def test_default_reading_order_closes_the_two_cell_row():
     T = t_lambda((2,), "c", 2)
-    g = build_graph(T, order="right")
+    g = build_graph(T)
     assert len(g) == 10
     assert len(g.sources()) == 1
-    with pytest.raises(AssertionError):
-        build_graph(T, order="left")
+    assert tableau_op(T, "f", 1).rows == ((1, 2),)
+    # under the mirrored reading the first lowering step already breaks the row
+    down = mirrored_op(T, "f", 1)
+    assert down.rows == ((2, 1),) and not kn_validate(down)
 
 
-def test_reading_positions_memo_is_keyed_by_shape_and_order():
-    assert reading_positions([2, 1]) == reading_positions((2, 1), "right")
-    assert reading_positions((2, 1), "left") != reading_positions((2, 1), "right")
-    with pytest.raises(ValueError):
-        reading_positions((2, 1), "diagonal")
+def test_reading_positions_memo_is_keyed_by_shape():
+    assert reading_positions([2, 1]) == reading_positions((2, 1))
+    assert reading_positions((1, 1, -1)) == reading_positions((1, 1, 1))
 
 
 def test_tableau_op_raises_when_an_output_breaks_the_rules(monkeypatch):
@@ -267,8 +338,8 @@ def test_tableau_op_rejects_unknown_operator_names():
     T = t_lambda((1,), "c", 2)
     with pytest.raises(ValueError):
         tableau_op(T, "raise", 0)
-    with pytest.raises(ValueError):
-        reading_word(T, "diagonal")
+    with pytest.raises(IndexError):
+        tableau_op(T, "e", -1)
 
 
 # ---------------------------------------------------------------------------
@@ -362,22 +433,38 @@ def test_element_requires_matching_factors():
         CrystalElement(())
 
 
+def element_families(lie_type, n):
+    """Two-factor elements of single boxes, of a (2,1) and a (1,1) factor,
+    and three-factor elements of single boxes."""
+    singles = enumerate_kn((1,), lie_type, n)
+    yield from itertools.product(singles, repeat=2)
+    if n == 3:
+        yield from itertools.product(
+            enumerate_kn((2, 1), lie_type, n), enumerate_kn((1, 1), lie_type, n)
+        )
+        yield from itertools.product(singles, repeat=3)
+
+
 def test_element_operator_agrees_with_concatenated_word():
-    for lie_type, n in [("c", 2), ("b", 2), ("d", 2)]:
-        singles = enumerate_kn((1,), lie_type, n)
-        for x in singles:
-            for y in singles:
-                el = CrystalElement((x, y))
-                word = el.word()
-                for i in range(n):
-                    for op, word_op in (("f", tensor_f), ("e", tensor_e)):
-                        via_word = word_op(word, i, lie_type, n)
-                        via_el = el.op(op, i)
-                        if via_word is None:
-                            assert via_el is None
-                        else:
-                            assert via_el is not None
-                            assert via_el.word() == via_word
+    for lie_type, n in [("c", 2), ("b", 2), ("d", 2), ("c", 3), ("b", 3), ("d", 3)]:
+        acted = 0
+        for factors in element_families(lie_type, n):
+            el = CrystalElement(factors)
+            word = el.word()
+            for i in range(n):
+                assert (el.eps(i), el.phi(i)) == (
+                    word_eps(word, i, lie_type, n), word_phi(word, i, lie_type, n)
+                )
+                for op, word_op in (("f", tensor_f), ("e", tensor_e)):
+                    via_word = word_op(word, i, lie_type, n)
+                    via_el = el.op(op, i)
+                    if via_word is None:
+                        assert via_el is None
+                    else:
+                        assert via_el is not None
+                        assert via_el.word() == via_word
+                        acted += 1
+        assert acted
 
 
 def test_tensor_component_sizes_add_up():
@@ -473,14 +560,14 @@ def test_stabilized_rejects_two_dominant_factors():
         stabilized_decomposition(posi, posi, "c")
 
 
-def first_index_walk(shape, lie_type, n, order="right"):
+def first_index_walk(shape, lie_type, n):
     """Reference source walk: restart at index 0 after every raising step."""
     T = t_lambda(shape, lie_type, n)
     while True:
-        word = reading_word(T, order)
+        word = reading_word(T)
         for i in range(n):
             if word_eps(word, i, lie_type, n):
-                T = crystal.tableau_op(T, "e", i, order)
+                T = crystal.tableau_op(T, "e", i)
                 break
         else:
             return T
@@ -509,7 +596,7 @@ def test_sweep_walk_reaches_the_unique_source(monkeypatch):
         for n in (2, 3, 4):
             for shape in walk_shapes(lie_type, n):
                 del calls[:]
-                source = crystal._model_source(shape, lie_type, n, "right")
+                source = crystal._model_source(shape, lie_type, n)
                 sweep_calls = len(calls)
                 del calls[:]
                 assert source == first_index_walk(shape, lie_type, n)
@@ -528,7 +615,7 @@ def test_sweep_walk_checks_every_step(monkeypatch):
     # a CrystalClosureError, so the walk cannot skip the check
     monkeypatch.setattr(crystal, "kn_validate", lambda T: False)
     with pytest.raises(CrystalClosureError):
-        crystal._model_source((1,), "c", 3, "right")
+        crystal._model_source((1,), "c", 3)
 
 
 def test_non_stabilization_carries_its_evidence():
@@ -541,7 +628,7 @@ def test_non_stabilization_carries_its_evidence():
     err = info.value
     scans = [
         crystal._scan_at_rank(
-            left, TensorFactor.zero((1,)), "b", n, "right", crystal.DEFAULT_MAX_VERTICES
+            left, TensorFactor.zero((1,)), "b", n, crystal.DEFAULT_MAX_VERTICES
         )
         for n in (2, 3)
     ]

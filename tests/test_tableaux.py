@@ -2,6 +2,7 @@
 characters, canonical fillings, and the spinor column pairs with residues."""
 
 import itertools
+from dataclasses import dataclass
 
 import pytest
 
@@ -18,8 +19,6 @@ from crystalline.tableaux import (
     _frame_grid,
     _max_residue,
     _sst_pairs,
-    DEFAULT_CONFIG,
-    KNConfig,
     KNTableau,
     SpinorColumnPair,
     alphabet,
@@ -225,16 +224,6 @@ def test_json_round_trip():
     assert KNTableau.from_json(U.to_json()) == U
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        KNConfig(pair_scope="sideways")
-    with pytest.raises(ValueError):
-        KNConfig(sign_span="sp")
-    with pytest.raises(ValueError):
-        KNConfig(full_parity="diagonal")
-    assert DEFAULT_CONFIG == KNConfig("same", "qr", "row")
-
-
 # ---------------------------------------------------------------------------
 # canonical fillings
 
@@ -391,8 +380,8 @@ def test_character_sweep_matches_determinants():
 
 
 def test_character_extras_full_height_and_wide():
-    # these shapes are exactly the ones that distinguish the flagged
-    # readings of the garbled two-column rules
+    # these shapes are exactly the ones that distinguish the rejected
+    # readings of the two-column rules
     for shape, lie_type, n in [
         ((2, 2, 2, 2), "c", 4),
         ((2, 2, 2), "b", 3),
@@ -416,7 +405,128 @@ def test_rank_monotone_inclusion():
 
 
 # ---------------------------------------------------------------------------
-# violation reports and the flagged readings
+# the paper's reading of the filling rules and the rejected ones
+
+
+@dataclass(frozen=True)
+class Reading:
+    """One reading of the three filling rules whose wording admits more
+    than one: the library implements only the paper's (``PAPER``); the
+    others live here, so that the tests can show where each one fails.
+
+    pair_scope
+        Where the witness pair (barred b above unbarred b) of the
+        bracket-pair rule may live.  ``"same"`` requires one column, the
+        left or the right one.  ``"mixed"`` also admits pairs straddling
+        the two columns; a straddling pair never reuses both bracket cells.
+    sign_span
+        Which row span carries the parity of the sign-span rule.  With p/s
+        the rows of the bracket (barred a left, unbarred a right) and q < r
+        the rows of the right-column and left-column sign cells, the span is
+        r-q+1 for ``"qr"``, s-q+1 for ``"qs"`` and r-p+1 for ``"pr"``.
+    full_parity
+        How the row parity of 1 and -1 in full-height columns is anchored:
+        at the top row (``"row"``) or at the bottom row (``"depth"``).
+    """
+
+    pair_scope: str = "same"
+    sign_span: str = "qr"
+    full_parity: str = "row"
+
+
+PAPER = Reading()
+
+# The paper's reading and each alternative value.
+ALL_READINGS = (
+    PAPER,
+    Reading(pair_scope="mixed"),
+    Reading(sign_span="qs"),
+    Reading(sign_span="pr"),
+    Reading(full_parity="depth"),
+)
+
+
+def ref_parity_ok(x, k, n, sign, mode):
+    """Whether 1 or -1 may sit at row k of a full-height column."""
+    if mode == "row":
+        return (k % 2 == 1) == ((x == 1) == (sign > 0))
+    return ((n - k) % 2 == 0) == ((x == -1) == (sign > 0))
+
+
+def ref_kn_ok(T, reading=PAPER):
+    """Brute-force verdict on the filling rules of T under a reading, from
+    the scanning reference generators below."""
+    lie_type, n = T.lie_type, T.rank
+    cols = T.columns()
+    if not all(
+        row_pair_ok(x, y, lie_type) for row in T.rows for x, y in zip(row, row[1:])
+    ):
+        return False
+    for col in cols:
+        if not ref_n_admissible(col, n, lie_type) or not all(
+            column_pair_ok(x, y, lie_type) for x, y in zip(col, col[1:])
+        ):
+            return False
+    if lie_type == "d" and len(T.shape) == n and T.shape:
+        sign = 1 if T.shape[-1] > 0 else -1
+        if not all(
+            ref_parity_ok(x, k, n, sign, reading.full_parity)
+            for col in cols
+            if len(col) == n
+            for k, x in enumerate(col, start=1)
+            if abs(x) == 1
+        ):
+            return False
+    for left, right in zip(cols, cols[1:]):
+        hits = [ref_pair_hits(left, right, lie_type, n, reading)]
+        if lie_type in ("b", "d"):
+            hits.append(ref_band_hits(left, right, lie_type, n))
+            hits.append(ref_overlap_hits(left, right, lie_type))
+        if lie_type == "d":
+            hits.append(ref_span_hits(left, right, n, reading))
+        if any(next(h, None) for h in hits):
+            return False
+    return True
+
+
+def ref_fillings(shape, lie_type, n, reading=PAPER):
+    """The fillings of the shape that pass ref_kn_ok, filtered from every
+    product of ordered columns."""
+    heights = conjugate(tuple(abs(x) for x in shape))
+    cands = [all_columns(lie_type, n, h) for h in heights]
+    fillings = (
+        from_columns(shape, columns, lie_type, n)
+        for columns in itertools.product(*cands)
+    )
+    return [T for T in fillings if ref_kn_ok(T, reading)]
+
+
+def ref_reading_report(T, reading):
+    """The bracket-pair and sign-span witnesses of T under a reading, in
+    the clause and detail format of kn_violations."""
+    out = []
+    cols = T.columns()
+    for j, (left, right) in enumerate(zip(cols, cols[1:]), start=1):
+        where = f"columns {j},{j + 1}"
+        for a, p, s, b, q, r in ref_pair_hits(left, right, T.lie_type, T.rank, reading):
+            out.append((
+                "bracket-pair-distance",
+                f"{where}: bracket {-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
+                f"has gap {(q - p) + (s - r)} >= {a - b}",
+            ))
+        if T.lie_type == "d":
+            for a, p, s, q, r, span in ref_span_hits(left, right, T.rank, reading):
+                out.append((
+                    "sign-span-parity",
+                    f"{where}: bracket {-a}@{p}..{a}@{s} with signs "
+                    f"{right[q - 1]}@{q} right, {left[r - 1]}@{r} left has span "
+                    f"{span} and width {s - p} >= {a - 1}",
+                ))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# violation reports and the rejected readings
 
 
 def test_bracket_pair_violation():
@@ -470,60 +580,61 @@ def test_order_and_admissibility_violations():
 
 # The fixtures of the violation tests above, each with its exact report:
 # the messages are part of the interface, so the indexed two-column rules
-# must keep them byte for byte.
+# must keep them byte for byte.  The last two rows are witnesses that the
+# paper's reading accepts and a rejected reading reports.
 VIOLATION_STRINGS = [
-    (((2, 2), ((-1, -1), (1, 1)), "c", 2), DEFAULT_CONFIG, [
+    (((2, 2), ((-1, -1), (1, 1)), "c", 2), PAPER, [
         ("bracket-pair-distance",
          "columns 1,2: bracket -1@1..1@2 with pair -1@1,1@2 has gap 0 >= 0"),
         ("bracket-pair-distance",
          "columns 1,2: bracket -1@1..1@2 with pair -1@1,1@2 has gap 0 >= 0"),
     ]),
-    (((2, 2, 2), ((-2, 0), (0, 1), (1, 2)), "b", 3), DEFAULT_CONFIG, [
+    (((2, 2, 2), ((-2, 0), (0, 1), (1, 2)), "b", 3), PAPER, [
         ("zero-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
          "cells at rows 2,3 with gap 1 >= 1"),
         ("zero-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
          "cells at rows 1,2 with gap 1 >= 1"),
     ]),
-    (((2, 2), ((-1, 0), (0, 1)), "b", 2), DEFAULT_CONFIG, [
+    (((2, 2), ((-1, 0), (0, 1)), "b", 2), PAPER, [
         ("zero-overlap", "columns 1,2: -1@1 left sits above 1@2 right"),
     ]),
-    (((2, 2), ((1, 1), (-1, -1)), "d", 2), DEFAULT_CONFIG, [
+    (((2, 2), ((1, 1), (-1, -1)), "d", 2), PAPER, [
         ("sign-overlap", "columns 1,2: 1@1 left sits above -1@2 right"),
     ]),
-    (((2, 2, 2), ((-2, -1), (1, 1), (-1, 2)), "d", 4), DEFAULT_CONFIG, [
+    (((2, 2, 2), ((-2, -1), (1, 1), (-1, 2)), "d", 4), PAPER, [
         ("sign-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
          "cells at rows 2,3 with gap 1 >= 1"),
         ("sign-band-distance", "columns 1,2: bracket -2@1..2@3 spans the band "
          "cells at rows 1,2 with gap 1 >= 1"),
     ]),
-    (((2, 2, 2), ((-2, 1), (1, 2), (2, 3)), "d", 4), DEFAULT_CONFIG, [
+    (((2, 2, 2), ((-2, 1), (1, 2), (2, 3)), "d", 4), PAPER, [
         ("sign-span-parity", "columns 1,2: bracket -2@1..2@2 with signs 1@1 "
          "right, 1@2 left has span 2 and width 1 >= 1"),
     ]),
-    (((1, 1), ((-1,), (1,)), "d", 2), DEFAULT_CONFIG, [
+    (((1, 1), ((-1,), (1,)), "d", 2), PAPER, [
         ("full-column-parity",
          "column 1: -1 at row 1 of a full column (last row count 1)"),
         ("full-column-parity",
          "column 1: 1 at row 2 of a full column (last row count 1)"),
     ]),
-    (((1, 1), ((2,), (1,)), "c", 2), DEFAULT_CONFIG, [
+    (((1, 1), ((2,), (1,)), "c", 2), PAPER, [
         ("column-order", "column 1: 2 may not sit above 1"),
     ]),
-    (((2,), ((2, 1),), "c", 2), DEFAULT_CONFIG, [
+    (((2,), ((2, 1),), "c", 2), PAPER, [
         ("row-order", "row 1: 2 may not precede 1"),
     ]),
-    (((1, 1), ((-2,), (2,)), "d", 2), DEFAULT_CONFIG, [
+    (((1, 1), ((-2,), (2,)), "d", 2), PAPER, [
         ("column-admissibility", "column 1: (-2, 2) at rank 2"),
     ]),
-    (((2,), ((0, 0),), "b", 2), DEFAULT_CONFIG, [
+    (((2,), ((0, 0),), "b", 2), PAPER, [
         ("row-order", "row 1: 0 may not precede 0"),
     ]),
-    (((2, 2, 2), ((-3, 1), (-1, -1), (1, 3)), "d", 3), KNConfig(sign_span="qs"), [
+    (((2, 2, 2), ((-3, 1), (-1, -1), (1, 3)), "d", 3), Reading(sign_span="qs"), [
         ("sign-span-parity", "columns 1,2: bracket -3@1..3@3 with signs 1@1 "
          "right, -1@2 left has span 3 and width 2 >= 2"),
     ]),
     (((2, 2, 2, 2), ((-4, -1), (-2, 1), (-1, 2), (1, 4)), "c", 4),
-     KNConfig(pair_scope="mixed"), [
+     Reading(pair_scope="mixed"), [
         ("bracket-pair-distance",
          "columns 1,2: bracket -4@1..4@4 with pair -2@2,2@3 has gap 2 >= 2"),
     ]),
@@ -533,59 +644,63 @@ VIOLATION_STRINGS = [
 @pytest.mark.parametrize("args, config, expected", VIOLATION_STRINGS)
 def test_violation_strings_are_unchanged(args, config, expected):
     T = KNTableau(*args)
-    assert [(v.clause, v.detail) for v in kn_violations(T, config)] == expected
+    if config == PAPER:
+        assert [(v.clause, v.detail) for v in kn_violations(T)] == expected
+    else:
+        assert kn_violations(T) == () and kn_validate(T)
+        assert ref_reading_report(T, config) == expected
 
 
 def test_sign_span_reading_is_adjudicated_by_characters():
     # the literal bottom-anchored span over-kills; the pairwise span matches
-    literal = KNConfig(sign_span="qs")
-    default_set = {t.rows for t in enumerate_kn((2, 2, 2), "d", 3)}
-    literal_set = {t.rows for t in enumerate_kn((2, 2, 2), "d", 3, literal)}
-    assert len(default_set) == 35 == sigma_char((2, 2, 2), "d", 3).at_ones()
+    literal = Reading(sign_span="qs")
+    paper_set = {t.rows for t in ref_fillings((2, 2, 2), "d", 3)}
+    literal_set = {t.rows for t in ref_fillings((2, 2, 2), "d", 3, literal)}
+    assert len(paper_set) == 35 == sigma_char((2, 2, 2), "d", 3).at_ones()
+    assert paper_set == {t.rows for t in enumerate_kn((2, 2, 2), "d", 3)}
     assert len(literal_set) == 31
-    assert literal_set < default_set
+    assert literal_set < paper_set
     witness = ((-3, 1), (-1, -1), (1, 3))
     T = KNTableau((2, 2, 2), witness, "d", 3)
-    assert kn_validate(T)
-    assert {v.clause for v in kn_violations(T, literal)} == {"sign-span-parity"}
+    assert kn_validate(T) and not ref_kn_ok(T, literal)
+    assert {clause for clause, _ in ref_reading_report(T, literal)} == {
+        "sign-span-parity"
+    }
 
 
 def test_pair_scope_reading_is_adjudicated_by_characters():
-    mixed = KNConfig(pair_scope="mixed")
-    ts = enumerate_kn((2, 2, 2, 2), "c", 4)
-    assert len(ts) == 594 == sigma_char((2, 2, 2, 2), "c", 4).at_ones()
-    assert len(enumerate_kn((2, 2, 2, 2), "c", 4, mixed)) == 544
+    mixed = Reading(pair_scope="mixed")
+    paper_set = {t.rows for t in ref_fillings((2, 2, 2, 2), "c", 4)}
+    assert len(paper_set) == 594 == sigma_char((2, 2, 2, 2), "c", 4).at_ones()
+    assert paper_set == {t.rows for t in enumerate_kn((2, 2, 2, 2), "c", 4)}
+    assert len(ref_fillings((2, 2, 2, 2), "c", 4, mixed)) == 544
     T = KNTableau(
         (2, 2, 2, 2), ((-4, -1), (-2, 1), (-1, 2), (1, 4)), "c", 4
     )
-    assert kn_validate(T)
-    assert {v.clause for v in kn_violations(T, mixed)} == {"bracket-pair-distance"}
+    assert kn_validate(T) and not ref_kn_ok(T, mixed)
+    assert {clause for clause, _ in ref_reading_report(T, mixed)} == {
+        "bracket-pair-distance"
+    }
 
 
 def test_full_parity_reading_swaps_families_at_odd_rank():
-    depth = KNConfig(full_parity="depth")
-    ts = enumerate_kn((1, 1, 1), "d", 3, depth)
+    depth = Reading(full_parity="depth")
+    ts = ref_fillings((1, 1, 1), "d", 3, depth)
     # same count, but the weights belong to the signed twin shape
     assert len(ts) == 10
     assert weight_poly(ts, 3) == sigma_char((1, 1, -1), "d", 3)
+    assert weight_poly(ref_fillings((1, 1, 1), "d", 3), 3) == sigma_char(
+        (1, 1, 1), "d", 3
+    )
     # at even rank the two readings agree
-    assert {t.rows for t in enumerate_kn((1, 1), "d", 2, depth)} == {
+    assert {t.rows for t in ref_fillings((1, 1), "d", 2, depth)} == {
         t.rows for t in enumerate_kn((1, 1), "d", 2)
     }
 
 
-# Every reading of the flagged rules: the default and each alternative value.
-ALL_READINGS = (
-    DEFAULT_CONFIG,
-    KNConfig(pair_scope="mixed"),
-    KNConfig(sign_span="qs"),
-    KNConfig(sign_span="pr"),
-    KNConfig(full_parity="depth"),
-)
-
 def check_shapes(lie_type: str, n: int) -> list[tuple[int, ...]]:
     """Small shapes whose column products are checked in full; they include
-    the shapes on which each flagged reading changes a verdict."""
+    the shapes on which each rejected reading changes a verdict."""
     shapes = {
         2: [(2,), (1, 1), (2, 1), (2, 2), (3, 1)],
         3: [(2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 2)],
@@ -617,19 +732,20 @@ def test_boolean_check_matches_violation_reports():
                     ]
                 else:
                     cands = [all_columns(lie_type, n, h) for h in heights]
-                accepted = {config: set() for config in ALL_READINGS}
+                accepted = set()
                 for columns in itertools.product(*cands):
                     T = from_columns(shape, columns, lie_type, n)
-                    for config in ALL_READINGS:
-                        ok = not kn_violations(T, config)
-                        assert kn_validate(T, config) == ok, (T, config)
-                        if ok:
-                            accepted[config].add(T.rows)
-                for config, rows in accepted.items():
-                    enumerated = {t.rows for t in enumerate_kn(shape, lie_type, n, config)}
-                    assert enumerated == rows, (lie_type, n, shape, config)
-                    if rows != accepted[DEFAULT_CONFIG]:
-                        differs.add(config)
+                    ok = not kn_violations(T)
+                    assert kn_validate(T) == ok, T
+                    assert ref_kn_ok(T) == ok, T
+                    if ok:
+                        accepted.add(T.rows)
+                    for reading in ALL_READINGS[1:]:
+                        if reading not in differs and ref_kn_ok(T, reading) != ok:
+                            differs.add(reading)
+                enumerated = {t.rows for t in enumerate_kn(shape, lie_type, n)}
+                assert enumerated == accepted, (lie_type, n, shape)
+    # each rejected reading changes a verdict on these shapes
     assert differs == set(ALL_READINGS[1:])
 
 
@@ -660,7 +776,7 @@ def ref_bracket_pairs(left, right, a):
             yield p, s
 
 
-def ref_pair_hits(left, right, lie_type, n, config):
+def ref_pair_hits(left, right, lie_type, n, reading=PAPER):
     b_lo = 1 if lie_type == "c" else 2
     for a in range(b_lo, n + 1):
         for p, s in ref_bracket_pairs(left, right, a):
@@ -670,13 +786,14 @@ def ref_pair_hits(left, right, lie_type, n, config):
                     for q in ref_rows_of(col, -b):
                         for r in ref_rows_of(col, b):
                             witnesses.append((q, r))
-                if config.pair_scope == "mixed":
-                    for colq, colr in ((left, right), (right, left)):
+                if reading.pair_scope == "mixed":
+                    # straddling pairs, left to right and then right to left;
+                    # only the first can be the bracket itself
+                    straddles = ((left, right), (right, left))
+                    for first, (colq, colr) in enumerate(straddles):
                         for q in ref_rows_of(colq, -b):
                             for r in ref_rows_of(colr, b):
-                                # by identity: a column paired with itself as
-                                # one object also skips the right-to-left pair
-                                if b == a and colq is left and q == p and r == s:
+                                if first == 0 and b == a and (q, r) == (p, s):
                                     continue
                                 witnesses.append((q, r))
                 for q, r in witnesses:
@@ -701,7 +818,18 @@ def ref_band_hits(left, right, lie_type, n):
                             yield a, p, s, q, r
 
 
-def ref_span_hits(left, right, n, config):
+def ref_overlap_hits(left, right, lie_type):
+    if lie_type == "b":
+        upper, lower = {-1, 0}, {0, 1}
+    else:
+        upper, lower = {-1, 1}, {-1, 1}
+    for p, x in enumerate(left, start=1):
+        for q, y in enumerate(right, start=1):
+            if q > p and x in upper and y in lower:
+                yield p, q
+
+
+def ref_span_hits(left, right, n, reading=PAPER):
     for a in range(2, n + 1):
         for p, s in ref_bracket_pairs(left, right, a):
             if p >= s:
@@ -714,7 +842,7 @@ def ref_span_hits(left, right, n, config):
                         continue
                     same = right[q - 1] == left[r - 1]
                     span = {"qs": s - q + 1, "qr": r - q + 1, "pr": r - p + 1}[
-                        config.sign_span
+                        reading.sign_span
                     ]
                     if (span % 2 == 0) == same and s - p >= a - 1:
                         yield a, p, s, q, r, span
@@ -760,12 +888,11 @@ def adjacent_column_pairs(lie_type, n):
     for hl, hr in sorted(heights):
         for left in columns[hl]:
             for right in columns[hr]:
-                # distinct objects, as in a tableau (see the identity test)
-                yield left, tuple(list(right))
+                yield left, right
 
 
 def test_indexed_witnesses_match_the_scanning_generators():
-    hits = {"bracket": 0, "pair": 0, "band": 0, "span": 0}
+    hits = {"bracket": 0, "pair": 0, "band": 0, "overlap": 0, "span": 0}
     for lie_type in ("b", "c", "d"):
         for n in (2, 3, 4):
             for left, right in adjacent_column_pairs(lie_type, n):
@@ -779,36 +906,19 @@ def test_indexed_witnesses_match_the_scanning_generators():
                 )
                 assert got == list(ref_band_hits(left, right, lie_type, n))
                 hits["band"] += bool(got)
-                for config in ALL_READINGS:
-                    got = list(
-                        tableaux._pair_condition_hits(lr, rr, lie_type, n, config)
-                    )
-                    assert got == list(
-                        ref_pair_hits(left, right, lie_type, n, config)
-                    ), (lie_type, n, left, right, config)
-                    hits["pair"] += bool(got)
-                    got = list(
-                        tableaux._span_condition_hits(left, right, lr, rr, n, config)
-                    )
-                    assert got == list(ref_span_hits(left, right, n, config))
-                    hits["span"] += bool(got)
+                got = list(tableaux._overlap_condition_hits(left, right, lie_type))
+                assert got == list(ref_overlap_hits(left, right, lie_type))
+                hits["overlap"] += bool(got)
+                got = list(tableaux._pair_condition_hits(lr, rr, lie_type, n))
+                assert got == list(ref_pair_hits(left, right, lie_type, n)), (
+                    lie_type, n, left, right,
+                )
+                hits["pair"] += bool(got)
+                got = list(tableaux._span_condition_hits(left, right, lr, rr, n))
+                assert got == list(ref_span_hits(left, right, n))
+                hits["span"] += bool(got)
     # every rule produced witnesses somewhere, so the comparisons had teeth
     assert all(hits.values()), hits
-
-
-def test_straddling_pairs_are_judged_by_position():
-    # the reference compares columns by identity, so a column paired with
-    # itself as one object loses its right-to-left straddling brackets, which
-    # only repeat same-column witnesses; the indexed rule sees positions
-    # only, even when handed one index twice
-    mixed = KNConfig(pair_scope="mixed")
-    col = (-2, -1, 1, 2)
-    copy = tuple(list(col))
-    index = tableaux._row_index(col)
-    got = list(tableaux._pair_condition_hits(index, index, "c", 4, mixed))
-    assert got == list(ref_pair_hits(col, copy, "c", 4, mixed))
-    by_identity = list(ref_pair_hits(col, col, "c", 4, mixed))
-    assert set(got) == set(by_identity) and len(got) > len(by_identity)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ from crystalline.grothendieck import (
     mul_posi_zero,
 )
 from crystalline.symfunc import CutoffMismatchError, LaurentPoly, SchurSeries, schur_poly
+from crystalline.tableaux import (
+    KNTableau,
+    SpinorColumnPair,
+    normalize_shape,
+    t_lambda,
+)
 from crystalline.weights import DominantShape, InvalidShapeError
 
 
@@ -156,10 +162,18 @@ def test_cached_values_are_shared_read_only():
         lambda: AElement("c", {AMonomial(hs=(1,)): "1"}),
         lambda: SchurSeries(4, {(1.5,): 1}),
         lambda: SchurSeries(4, {("2",): 1}),
+        lambda: KNTableau((1.5,), ((1.9,),), "c", 2),
+        lambda: KNTableau((1,), ((1.9,),), "c", 2),
+        lambda: normalize_shape(("2",), "c", 2),
+        lambda: normalize_shape((2, 1, -1.0), "d", 3),
+        lambda: t_lambda((2.7, 1), "c", 3),
+        lambda: SpinorColumnPair(0, 0, 1, (1.5,), (2.2,)),
     ],
     ids=[
         "half", "string", "float", "float-exponent", "groth-float", "algebra-string",
-        "float-part", "string-part",
+        "float-part", "string-part", "tableau-float-part", "tableau-float-letter",
+        "shape-string-part", "signed-shape-float-part", "t-lambda-float-part",
+        "spinor-float-entry",
     ],
 )
 def test_constructors_reject_non_integers(build):
