@@ -18,8 +18,8 @@ reading, left to right and bottom to top, breaks closure already on one row
 of two cells; the tests keep it as a reference.)
 
 A tensor element is a tuple of tableau factors.  Graphs are generated by
-breadth-first closure under all raising and lowering operators, and
-highest-weight elements (sources) are found by full raising-kill scans.
+breadth-first closure under all raising and lowering operators; the source
+of one model has a closed form, and tensor sources come from full scans.
 
 Rank-stabilized decompositions translate the sources of a rank-n model into
 rank-free labels: a pair of a partition (the finite-support part of the
@@ -35,7 +35,13 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from crystalline.symfunc import LaurentPoly, lr_expand
-from crystalline.tableaux import KNTableau, enumerate_kn, kn_validate, t_lambda
+from crystalline.tableaux import (
+    KNTableau,
+    _parity_ok,
+    enumerate_kn,
+    kn_validate,
+    normalize_shape,
+)
 from crystalline.weights import (
     DominantShape,
     ResourceCapError,
@@ -46,6 +52,7 @@ from crystalline.weights import (
     make_partition,
     orbit_representative,
     shape_of_weight,
+    trivial_shape,
     truncation_shape,
 )
 
@@ -53,19 +60,26 @@ DEFAULT_MAX_VERTICES = 1_000_000
 
 
 class CrystalClosureError(AssertionError):
-    """A crystal operator produced a filling that breaks the KN rules.
+    """A crystal operator produced a filling that breaks the KN rules, or a
+    closed-form source is not the highest-weight vertex of its shape.
 
     Carries the input tableau, the operator ("e" or "f"), its index and the
-    rejected output as ``tableau``, ``op``, ``index`` and ``result``.  It is
-    an AssertionError because closure is an invariant of the model, but it
-    is raised explicitly, so the check also runs under ``python -O``.
+    rejected output as ``tableau``, ``op``, ``index`` and ``result``; for a
+    source, ``op`` is "source", ``index`` is None and both tableaux are the
+    built filling.  It is an AssertionError because closure is an invariant
+    of the model, but it is raised explicitly, so the check also runs under
+    ``python -O``.
     """
 
-    def __init__(self, tableau: KNTableau, op: str, index: int, result: KNTableau):
-        super().__init__(
-            f"{op}_{index} took {tableau.rows} to {result.rows}, which breaks "
-            f"the type {tableau.lie_type} rank {tableau.rank} filling rules"
-        )
+    def __init__(
+        self, tableau: KNTableau, op: str, index: int | None, result: KNTableau
+    ):
+        rules = f"the type {tableau.lie_type} rank {tableau.rank} filling rules"
+        if op == "source":
+            what = f"the closed-form source {result.rows} is not highest weight under"
+        else:
+            what = f"{op}_{index} took {tableau.rows} to {result.rows}, which breaks"
+        super().__init__(f"{what} {rules}")
         self.tableau, self.op, self.index, self.result = tableau, op, index, result
 
 
@@ -677,23 +691,22 @@ class TensorFactor:
 
 
 def _model_source(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
-    """The unique vertex killed by every raising operator, reached by
-    walking raising arrows up from the canonical filling.
+    """The unique vertex killed by every raising operator, in closed form.
 
-    The walk sweeps the indices 0..n-1, reads eps_i once per index and
-    applies e_i that many times, and sweeps again until a sweep moves
-    nothing.  Every step goes through tableau_op, which checks each vertex
-    on the way against the full filling rules.
+    Row r holds the letter r-n-1 (Kashiwara-Nakashima, J. Algebra 165,
+    1994), except that at full height in type d row n holds whichever of 1
+    and -1 the full-column parity admits there for the shape's sign.  The
+    result is checked once against the filling rules and against eps_i = 0
+    for every i; a failure raises CrystalClosureError.  The tests keep the
+    walk up the raising arrows from the canonical filling as the reference.
     """
-    T = t_lambda(shape, lie_type, n)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(n):
-            steps = _tableau_signature(T, i)[0]
-            for _ in range(steps):
-                T = tableau_op(T, "e", i)
-            moved = moved or steps > 0
+    signed = normalize_shape(shape, lie_type, n)
+    rows = [(r - n - 1,) * abs(width) for r, width in enumerate(signed, start=1)]
+    if lie_type == "d" and len(signed) == n:
+        rows[-1] = (1 if _parity_ok(1, n, signed[-1]) else -1,) * abs(signed[-1])
+    T = KNTableau(signed, tuple(rows), lie_type, n)
+    if not kn_validate(T) or any(_tableau_signature(T, i)[0] for i in range(n)):
+        raise CrystalClosureError(T, "source", None, T)
     return T
 
 
@@ -763,7 +776,7 @@ def stabilized_decomposition(
         )
     if left.kappa is None and right.kappa is None:
         expected = {
-            StableComponent(make_partition(nu), _trivial_shape(lie_type)): c
+            StableComponent(make_partition(nu), trivial_shape(lie_type)): c
             for nu, c in lr_expand(left.mu, right.mu).items()
         }
     else:
@@ -814,13 +827,9 @@ def _label_diff(
     return f"{len(diff)} labels: " + ", ".join(diff[:3]) + more
 
 
-def _trivial_shape(lie_type: str) -> DominantShape:
-    return DominantShape(lie_type, (), 0)
-
-
 def _factor_component(factor: TensorFactor, lie_type: str) -> StableComponent:
     if factor.kappa is None:
-        return StableComponent(factor.mu, _trivial_shape(lie_type))
+        return StableComponent(factor.mu, trivial_shape(lie_type))
     return StableComponent((), factor.kappa)
 
 

@@ -39,6 +39,7 @@ the scans.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -62,15 +63,12 @@ from crystalline.weights import (
     conjugate,
     level_shapes,
     make_partition,
+    trivial_shape,
 )
 
 Label = StableComponent
 
 DEFAULT_TRUNCATION_DEGREE = 10
-
-
-def trivial_shape(lie_type: str) -> DominantShape:
-    return DominantShape(lie_type, (), 0)
 
 
 def make_label(
@@ -560,12 +558,14 @@ class AMonomial:
     barred: int = 0
 
     def __post_init__(self) -> None:
-        zs = tuple(sorted((int(b) for b in self.zs if b != 0), reverse=True))
-        hs = tuple(sorted((int(a) for a in self.hs), reverse=True))
-        if any(b < 0 for b in zs) or any(a < 0 for a in hs) or self.barred < 0:
+        zs = tuple(sorted((b for b in map(operator.index, self.zs) if b), reverse=True))
+        hs = tuple(sorted(map(operator.index, self.hs), reverse=True))
+        barred = operator.index(self.barred)
+        if any(b < 0 for b in zs) or any(a < 0 for a in hs) or barred < 0:
             raise ValueError("monomial indices must be non-negative")
         object.__setattr__(self, "zs", zs)
         object.__setattr__(self, "hs", hs)
+        object.__setattr__(self, "barred", barred)
 
     def sort_key(self):
         # z-major: the normal form reads as a polynomial in the column

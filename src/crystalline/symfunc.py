@@ -24,6 +24,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from crystalline.tableaux import normalize_shape
 from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
@@ -603,27 +604,13 @@ def x_minus_inverse_product(n: int) -> LaurentPoly:
 def sigma_char(shape: Sequence[int], lie_type: str, n: int) -> LaurentPoly:
     """Rank-n character of the classical crystal with the given shape.
 
-    ``shape`` is a weakly decreasing integer window of length <= n whose
-    first part is at most n; the even orthogonal family also accepts a
-    negative last entry at full height (the mirrored spin flavor).
+    ``shape`` is a rank-n shape as :func:`crystalline.tableaux.normalize_shape`
+    reads it (the even orthogonal family also accepts a negative last entry
+    at full height, the mirrored spin flavor) whose first part is at most n.
     """
-    check_lie_type(lie_type)
-    parts = tuple(int(p) for p in shape)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    if len(parts) > n:
-        raise InvalidShapeError(f"shape {parts} has more than {n} rows")
-    negative_last = bool(parts) and parts[-1] < 0
-    if negative_last:
-        if lie_type != "d" or len(parts) != n:
-            raise InvalidShapeError(
-                "negative last entries require the even orthogonal type at full height"
-            )
-        mu = make_partition(parts[:-1] + (-parts[-1],))
-        if len(mu) != n:
-            raise InvalidShapeError("generalized shapes must have full height")
-    else:
-        mu = make_partition(parts)
+    signed = normalize_shape(shape, lie_type, n)
+    negative_last = bool(signed) and signed[-1] < 0
+    mu = tuple(map(abs, signed))
     if mu and mu[0] > n:
         raise InvalidShapeError(f"first part {mu[0]} exceeds rank {n}")
     letters = pm_alphabet(lie_type, n)

@@ -341,10 +341,12 @@ def _bracket_pairs(
             yield p, s
 
 
-# Each two-column rule is a generator of its witnesses, in a fixed order.
-# kn_violations formats every witness; the boolean checks stop at the first.
-# The rules read the letter -> rows index of each column (_row_index), built
-# once per column pair by the caller.
+# Each rule is a generator of its witnesses, in a fixed order.  One walk
+# chains them per column (_column_witnesses), then per adjacent column pair
+# (_pair_witnesses), and tags each witness with its clause and detail:
+# kn_violations formats every witness, and the boolean checks stop at the
+# first.  The two-column rules read the letter -> rows index of each column
+# (_row_index), built once per column pair.
 
 
 def _pair_condition_hits(
@@ -437,59 +439,6 @@ def _span_condition_hits(
                         yield a, p, s, q, r, span
 
 
-def _two_column_violations(
-    left: Sequence[int],
-    right: Sequence[int],
-    lie_type: str,
-    n: int,
-    j: int,
-) -> list[Violation]:
-    """The formatted two-column violations of columns j and j+1 (1-indexed)."""
-    where = f"columns {j},{j + 1}"
-    left_rows, right_rows = _row_index(left), _row_index(right)
-    out = [
-        Violation(
-            "bracket-pair-distance",
-            f"{where}: bracket {-a}@{p}..{a}@{s} with pair {-b}@{q},{b}@{r} "
-            f"has gap {(q - p) + (s - r)} >= {a - b}",
-        )
-        for a, p, s, b, q, r in _pair_condition_hits(left_rows, right_rows, lie_type, n)
-    ]
-    if lie_type in ("b", "d"):
-        band = "zero-band-distance" if lie_type == "b" else "sign-band-distance"
-        out.extend(
-            Violation(
-                band,
-                f"{where}: bracket {-a}@{p}..{a}@{s} spans the band cells at rows "
-                f"{q},{r} with gap {(q - p) + (s - r)} >= {a - 1}",
-            )
-            for a, p, s, q, r in _band_condition_hits(
-                left, right, left_rows, right_rows, lie_type, n
-            )
-        )
-        overlap = "zero-overlap" if lie_type == "b" else "sign-overlap"
-        out.extend(
-            Violation(
-                overlap,
-                f"{where}: {left[p - 1]}@{p} left sits above {right[q - 1]}@{q} right",
-            )
-            for p, q in _overlap_condition_hits(left, right, lie_type)
-        )
-    if lie_type == "d":
-        out.extend(
-            Violation(
-                "sign-span-parity",
-                f"{where}: bracket {-a}@{p}..{a}@{s} with signs {right[q - 1]}@{q} "
-                f"right, {left[r - 1]}@{r} left has span {span} and "
-                f"width {s - p} >= {a - 1}",
-            )
-            for a, p, s, q, r, span in _span_condition_hits(
-                left, right, left_rows, right_rows, n
-            )
-        )
-    return out
-
-
 def _parity_ok(x: int, k: int, sign: int) -> bool:
     """Whether the letter x (1 or -1) may sit at row k of a full-height
     column: for a shape with positive last row, 1 sits only at odd rows and
@@ -497,122 +446,132 @@ def _parity_ok(x: int, k: int, sign: int) -> bool:
     return (k % 2 == 1) == ((x == 1) == (sign > 0))
 
 
-def _column_parity_ok(column: Sequence[int], sign: int) -> bool:
-    return all(
-        _parity_ok(x, k, sign)
-        for k, x in enumerate(column, start=1)
-        if abs(x) == 1
-    )
+def _full_row_count(shape: tuple[int, ...], lie_type: str, n: int) -> int:
+    """The last row count of a full-height even orthogonal shape, which the
+    full-column parity rule reads; 0 where that rule does not apply."""
+    return shape[-1] if lie_type == "d" and len(shape) == n else 0
+
+
+def _column_witnesses(
+    col: tuple[int, ...], j: int, lie_type: str, n: int, last: int
+) -> Iterator[tuple[str, str]]:
+    """The (clause, detail) witnesses of column j (1-indexed); ``last`` is
+    the shape's ``_full_row_count``."""
+    for i in range(len(col) - 1):
+        if not column_pair_ok(col[i], col[i + 1], lie_type):
+            yield "column-order", f"column {j}: {col[i]} may not sit above {col[i + 1]}"
+    if not n_admissible(col, n, lie_type):
+        yield "column-admissibility", f"column {j}: {col} at rank {n}"
+    if last and len(col) == n:
+        for k, x in enumerate(col, start=1):
+            if abs(x) == 1 and not _parity_ok(x, k, last):
+                yield (
+                    "full-column-parity",
+                    f"column {j}: {x} at row {k} of a full column "
+                    f"(last row count {last})",
+                )
+
+
+def _pair_witnesses(
+    left: Sequence[int], right: Sequence[int], j: int, lie_type: str, n: int
+) -> Iterator[tuple[str, str]]:
+    """The (clause, detail) witnesses of columns j and j+1 (1-indexed): row
+    order on the shared rows, then the two-column rules."""
+    for i in range(len(right)):
+        if not row_pair_ok(left[i], right[i], lie_type):
+            yield "row-order", f"row {i + 1}: {left[i]} may not precede {right[i]}"
+    left_rows, right_rows = _row_index(left), _row_index(right)
+    for a, p, s, b, q, r in _pair_condition_hits(left_rows, right_rows, lie_type, n):
+        yield (
+            "bracket-pair-distance",
+            f"columns {j},{j + 1}: bracket {-a}@{p}..{a}@{s} with pair "
+            f"{-b}@{q},{b}@{r} has gap {(q - p) + (s - r)} >= {a - b}",
+        )
+    if lie_type == "c":
+        return
+    kind = "zero" if lie_type == "b" else "sign"
+    for a, p, s, q, r in _band_condition_hits(
+        left, right, left_rows, right_rows, lie_type, n
+    ):
+        yield (
+            f"{kind}-band-distance",
+            f"columns {j},{j + 1}: bracket {-a}@{p}..{a}@{s} spans the band "
+            f"cells at rows {q},{r} with gap {(q - p) + (s - r)} >= {a - 1}",
+        )
+    for p, q in _overlap_condition_hits(left, right, lie_type):
+        yield (
+            f"{kind}-overlap",
+            f"columns {j},{j + 1}: {left[p - 1]}@{p} left sits above "
+            f"{right[q - 1]}@{q} right",
+        )
+    if lie_type == "b":
+        return
+    for a, p, s, q, r, span in _span_condition_hits(
+        left, right, left_rows, right_rows, n
+    ):
+        yield (
+            "sign-span-parity",
+            f"columns {j},{j + 1}: bracket {-a}@{p}..{a}@{s} with signs "
+            f"{right[q - 1]}@{q} right, {left[r - 1]}@{r} left has span {span} "
+            f"and width {s - p} >= {a - 1}",
+        )
 
 
 def kn_violations(T: KNTableau) -> tuple[Violation, ...]:
-    """Every broken filling rule of T, each named by a stable clause string."""
-    out: list[Violation] = []
+    """Every broken filling rule of T, each named by a stable clause string.
+
+    Reported per column, left to right (order, admissibility, full-column
+    parity), then per adjacent column pair (row order on the shared rows,
+    then the two-column rules).
+    """
     lie_type, n = T.lie_type, T.rank
     cols = T.columns()
-    for i, row in enumerate(T.rows, start=1):
-        for j in range(len(row) - 1):
-            if not row_pair_ok(row[j], row[j + 1], lie_type):
-                out.append(
-                    Violation(
-                        "row-order",
-                        f"row {i}: {row[j]} may not precede {row[j + 1]}",
-                    )
-                )
-    for j, col in enumerate(cols, start=1):
-        for i in range(len(col) - 1):
-            if not column_pair_ok(col[i], col[i + 1], lie_type):
-                out.append(
-                    Violation(
-                        "column-order",
-                        f"column {j}: {col[i]} may not sit above {col[i + 1]}",
-                    )
-                )
-        if not n_admissible(col, n, lie_type):
-            out.append(
-                Violation("column-admissibility", f"column {j}: {col} at rank {n}")
-            )
-    if lie_type == "d" and len(T.shape) == n and T.shape:
-        sign = 1 if T.shape[-1] > 0 else -1
-        for j, col in enumerate(cols, start=1):
-            if len(col) == n:
-                for k, x in enumerate(col, start=1):
-                    if abs(x) == 1 and not _parity_ok(x, k, sign):
-                        out.append(
-                            Violation(
-                                "full-column-parity",
-                                f"column {j}: {x} at row {k} of a full column "
-                                f"(last row count {T.shape[-1]})",
-                            )
-                        )
-    for j in range(len(cols) - 1):
-        out.extend(_two_column_violations(cols[j], cols[j + 1], lie_type, n, j + 1))
+    last = _full_row_count(T.shape, lie_type, n)
+    out = [
+        Violation(*w)
+        for j, col in enumerate(cols, start=1)
+        for w in _column_witnesses(col, j, lie_type, n, last)
+    ]
+    for j in range(1, len(cols)):
+        out.extend(
+            Violation(*w) for w in _pair_witnesses(cols[j - 1], cols[j], j, lie_type, n)
+        )
     return tuple(out)
 
 
+def _column_clean(col: tuple[int, ...], lie_type: str, n: int, last: int) -> bool:
+    """Whether the column breaks no rule of its own; stops at the first witness."""
+    return next(_column_witnesses(col, 1, lie_type, n, last), None) is None
+
+
 def _columns_compatible(
-    left: tuple[int, ...],
-    right: tuple[int, ...],
-    lie_type: str,
-    n: int,
+    left: tuple[int, ...], right: tuple[int, ...], lie_type: str, n: int
 ) -> bool:
-    """Whether two adjacent columns keep their rows in order and break no
-    two-column rule; stops at the first witness and formats nothing."""
-    if not all(
-        row_pair_ok(left[i], right[i], lie_type) for i in range(len(right))
-    ):
-        return False
-    left_rows, right_rows = _row_index(left), _row_index(right)
-    if next(_pair_condition_hits(left_rows, right_rows, lie_type, n), None):
-        return False
-    if lie_type in ("b", "d") and (
-        next(
-            _band_condition_hits(left, right, left_rows, right_rows, lie_type, n),
-            None,
-        )
-        or next(_overlap_condition_hits(left, right, lie_type), None)
-    ):
-        return False
-    return lie_type != "d" or not next(
-        _span_condition_hits(left, right, left_rows, right_rows, n), None
-    )
+    """Whether two adjacent columns keep their shared rows in order and break
+    no two-column rule; stops at the first witness."""
+    return next(_pair_witnesses(left, right, 1, lie_type, n), None) is None
 
 
-# Small LRU memos for kn_validate, keyed by the column or column pair, the
-# type and the rank: a breadth-first crystal walk checks the same columns and
-# pairs again within a few frontiers, while source walks do not revisit
-# pairs, so larger tables only add memory to a long session.
-
-
-@lru_cache(maxsize=512)
-def _column_ok(column: tuple[int, ...], lie_type: str, n: int) -> bool:
-    return all(
-        column_pair_ok(column[i], column[i + 1], lie_type)
-        for i in range(len(column) - 1)
-    ) and n_admissible(column, n, lie_type)
-
-
+# Small LRU memos for kn_validate, keyed by the column (with the full-row
+# count) or the column pair, the type and the rank: a breadth-first crystal walk checks the same columns and
+# pairs again within a few frontiers, while a scan validates only its one
+# closed-form source, so larger tables only add memory to a long session.
+_column_ok = lru_cache(maxsize=512)(_column_clean)
 _pair_ok = lru_cache(maxsize=1024)(_columns_compatible)
 
 
 def kn_validate(T: KNTableau) -> bool:
     """Whether T breaks no filling rule, i.e. ``not kn_violations(T)``.
 
-    Decided per column (order and admissibility, plus the full-column parity
-    where it applies) and per adjacent column pair (row order and the
-    two-column rules), stopping at the first broken rule.
+    Walks the rules in the report order of :func:`kn_violations`, per
+    column and then per adjacent column pair, and stops at the first
+    witness.
     """
     lie_type, n = T.lie_type, T.rank
     cols = T.columns()
-    if not all(_column_ok(col, lie_type, n) for col in cols):
-        return False
-    if lie_type == "d" and len(T.shape) == n and T.shape:
-        sign = 1 if T.shape[-1] > 0 else -1
-        if not all(_column_parity_ok(col, sign) for col in cols if len(col) == n):
-            return False
-    return all(
-        _pair_ok(cols[j], cols[j + 1], lie_type, n)
-        for j in range(len(cols) - 1)
+    last = _full_row_count(T.shape, lie_type, n)
+    return all(_column_ok(col, lie_type, n, last) for col in cols) and all(
+        _pair_ok(cols[j - 1], cols[j], lie_type, n) for j in range(1, len(cols))
     )
 
 
@@ -639,15 +598,17 @@ def t_lambda(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
 
 
 @lru_cache(maxsize=None)
-def _admissible_columns(lie_type: str, n: int, h: int) -> tuple[tuple[int, ...], ...]:
-    """All rank-n admissible columns of height h, in generation order."""
+def _admissible_columns(
+    lie_type: str, n: int, h: int, last: int
+) -> tuple[tuple[int, ...], ...]:
+    """All rank-n columns of height h that break no rule of their own, in
+    generation order; ``last`` is the shape's ``_full_row_count``."""
     letters = alphabet(lie_type, n)
     out: list[tuple[int, ...]] = []
 
     def extend(col: list[int]) -> None:
         if len(col) == h:
-            if n_admissible(col, n, lie_type):
-                out.append(tuple(col))
+            out.append(tuple(col))
             return
         for x in letters:
             if not col or column_pair_ok(col[-1], x, lie_type):
@@ -656,7 +617,7 @@ def _admissible_columns(lie_type: str, n: int, h: int) -> tuple[tuple[int, ...],
                 col.pop()
 
     extend([])
-    return tuple(out)
+    return tuple(col for col in out if _column_clean(col, lie_type, n, last))
 
 
 def _tableau_from_columns(
@@ -689,13 +650,8 @@ def enumerate_kn(
     signed = normalize_shape(shape, lie_type, n)
     widths = _abs_shape(signed)
     heights = conjugate(widths)
-    candidates: list[tuple[tuple[int, ...], ...]] = []
-    for h in heights:
-        cols = _admissible_columns(lie_type, n, h)
-        if lie_type == "d" and h == n and len(signed) == n and signed:
-            sign = 1 if signed[-1] > 0 else -1
-            cols = tuple(c for c in cols if _column_parity_ok(c, sign))
-        candidates.append(cols)
+    last = _full_row_count(signed, lie_type, n)
+    candidates = [_admissible_columns(lie_type, n, h, last) for h in heights]
     # Per call: for each pair of adjacent heights, the columns that may
     # follow a given left column, computed the first time that column
     # appears on the left.

@@ -132,18 +132,20 @@ class Weight:
 
     ``prefix`` stores the leading coordinates and ``tail`` the constant the
     coordinates settle to; the stored prefix never ends with the tail value,
-    so equal weights compare equal structurally.
+    so equal weights compare equal structurally.  Both must be integers: a
+    float or a string raises TypeError instead of being truncated.
     """
 
     prefix: tuple[int, ...] = ()
     tail: int = 0
 
     def __post_init__(self) -> None:
-        pref = tuple(int(m) for m in self.prefix)
-        while pref and pref[-1] == self.tail:
+        tail = operator.index(self.tail)
+        pref = tuple(map(operator.index, self.prefix))
+        while pref and pref[-1] == tail:
             pref = pref[:-1]
         object.__setattr__(self, "prefix", pref)
-        object.__setattr__(self, "tail", int(self.tail))
+        object.__setattr__(self, "tail", tail)
 
     def coeff(self, i: int) -> int:
         """Coordinate m_i, 1-indexed."""
@@ -183,7 +185,7 @@ class Weight:
     @staticmethod
     def from_exceptions(tail: int, exceptions: Mapping[int | str, int]) -> "Weight":
         """Build a weight from a tail value and a sparse coordinate map."""
-        fixed = {int(k): int(v) for k, v in exceptions.items()}
+        fixed = {int(k): v for k, v in exceptions.items()}
         if fixed and min(fixed) < 1:
             raise IndexError("weight coordinates are 1-indexed")
         top = max(fixed, default=0)
@@ -295,6 +297,11 @@ class DominantShape:
         if isinstance(data, str):
             data = json.loads(data)
         return DominantShape(data["type"].lower(), tuple(data["lam"]), data["ell"])
+
+
+def trivial_shape(lie_type: str) -> DominantShape:
+    """The empty shape at level zero, the dominant part of a level-zero label."""
+    return DominantShape(lie_type, (), 0)
 
 
 @lru_cache(maxsize=None)

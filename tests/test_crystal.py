@@ -322,6 +322,10 @@ def test_tableau_op_check_holds_under_optimize():
             crystal.tableau_op(t_lambda((2, 1), "c", 3), "f", 1)
         except crystal.CrystalClosureError as err:
             print("raised", err.op, err.index, __debug__)
+        try:
+            crystal._model_source((2, 1), "c", 3)
+        except crystal.CrystalClosureError as err:
+            print("raised", err.op, err.index, __debug__)
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
@@ -331,7 +335,9 @@ def test_tableau_op_check_holds_under_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "raised f 1 False"
+    assert proc.stdout.splitlines() == [
+        "raised f 1 False", "raised source None False"
+    ]
 
 
 def test_tableau_op_rejects_unknown_operator_names():
@@ -560,62 +566,100 @@ def test_stabilized_rejects_two_dominant_factors():
         stabilized_decomposition(posi, posi, "c")
 
 
-def first_index_walk(shape, lie_type, n):
-    """Reference source walk: restart at index 0 after every raising step."""
+def sweep_walk(shape, lie_type, n):
+    """Reference source walk: from the canonical filling, sweep the indices
+    0..n-1, apply e_i eps_i times each, and sweep again until a sweep moves
+    nothing.  Every step goes through tableau_op, which checks each vertex
+    on the way against the full filling rules."""
     T = t_lambda(shape, lie_type, n)
-    while True:
-        word = reading_word(T)
+    moved = True
+    while moved:
+        moved = False
         for i in range(n):
-            if word_eps(word, i, lie_type, n):
-                T = crystal.tableau_op(T, "e", i)
-                break
-        else:
-            return T
+            steps = tableau_eps(T, i)
+            for _ in range(steps):
+                T = tableau_op(T, "e", i)
+            moved = moved or steps > 0
+    return T
+
+
+DOMINANT_MODELS = [((), 1), ((1,), 1), ((2,), 1), ((1,), 2)]
 
 
 def walk_shapes(lie_type, n):
     """Small shapes plus the rank-n models of a few dominant shapes, which
-    are the shapes the stabilized scans walk."""
+    are the shapes the stabilized scans take their sources from."""
     shapes = sweep_shapes(lie_type, n, 3)
-    for lam, ell in [((), 1), ((1,), 1), ((2,), 1), ((1,), 2)]:
+    for lam, ell in DOMINANT_MODELS:
         shapes.append(truncation_shape(DominantShape(lie_type, lam, ell), n))
     return shapes
 
 
-def test_sweep_walk_reaches_the_unique_source(monkeypatch):
-    calls = []
-    checked = crystal.tableau_op
+def graph_size_at_most(shape, lie_type, n, bound):
+    try:
+        enumerate_kn(shape, lie_type, n, max_count=bound)
+    except ResourceCapError:
+        return False
+    return True
 
-    def counted(*args):
-        calls.append(args)
-        return checked(*args)
 
-    monkeypatch.setattr(crystal, "tableau_op", counted)
-    walked = 0
+def test_closed_form_source_matches_the_sweep_walk():
+    graphs = 0
     for lie_type in ("b", "c", "d"):
-        for n in (2, 3, 4):
+        for n in range(2, 7):
             for shape in walk_shapes(lie_type, n):
-                del calls[:]
                 source = crystal._model_source(shape, lie_type, n)
-                sweep_calls = len(calls)
-                del calls[:]
-                assert source == first_index_walk(shape, lie_type, n)
-                assert sweep_calls == len(calls), (lie_type, n, shape)
-                walked += sweep_calls > 0
-                for i in range(n):
-                    assert checked(source, "e", i) is None
-                if len(enumerate_kn(shape, lie_type, n)) <= 2_000:
+                assert source == sweep_walk(shape, lie_type, n), (lie_type, n, shape)
+                assert all(tableau_op(source, "e", i) is None for i in range(n))
+                if graph_size_at_most(shape, lie_type, n, 2_000):
                     sources = build_graph(t_lambda(shape, lie_type, n)).sources()
                     assert [v.factors[0] for v in sources] == [source]
-    assert walked > 50
+                    graphs += 1
+    assert graphs > 100
 
 
-def test_sweep_walk_checks_every_step(monkeypatch):
-    # a validator that rejects everything turns the first raising step into
-    # a CrystalClosureError, so the walk cannot skip the check
+def test_closed_form_source_of_the_scanned_models_up_to_rank_12():
+    for lie_type in ("b", "c", "d"):
+        for n in range(7, 13):
+            for lam, ell in DOMINANT_MODELS:
+                shape = truncation_shape(DominantShape(lie_type, lam, ell), n)
+                source = crystal._model_source(shape, lie_type, n)
+                assert source == sweep_walk(shape, lie_type, n), (lie_type, n, shape)
+
+
+def test_one_scan_validates_one_tableau(monkeypatch):
+    calls = []
+    checked = crystal.kn_validate
+
+    def counted(T):
+        calls.append(T)
+        return checked(T)
+
+    monkeypatch.setattr(crystal, "kn_validate", counted)
+    left = TensorFactor.dominant(DominantShape("c", (1,), 2))
+    scan = crystal._scan_at_rank(
+        left, TensorFactor.zero((2, 1)), "c", 8, crystal.DEFAULT_MAX_VERTICES
+    )
+    assert scan and len(calls) == 1
+
+
+def test_model_source_checks_its_result(monkeypatch):
+    # a validator that rejects everything, or a signature that sees a
+    # raising step, turns the closed form into a CrystalClosureError
     monkeypatch.setattr(crystal, "kn_validate", lambda T: False)
-    with pytest.raises(CrystalClosureError):
+    with pytest.raises(CrystalClosureError) as info:
         crystal._model_source((1,), "c", 3)
+    err = info.value
+    assert (err.op, err.index, err.result.rows) == ("source", None, ((-3,),))
+    monkeypatch.setattr(crystal, "kn_validate", lambda T: True)
+    monkeypatch.setattr(crystal, "_tableau_signature", lambda T, i: (i, 0, None, None))
+    with pytest.raises(CrystalClosureError) as info:
+        crystal._model_source((1,), "c", 3)
+    assert (info.value.op, info.value.index) == ("source", None)
+    assert str(info.value) == (
+        "the closed-form source ((-3,),) is not highest weight under the "
+        "type c rank 3 filling rules"
+    )
 
 
 def test_non_stabilization_carries_its_evidence():

@@ -138,6 +138,12 @@ def test_monomial_validation():
     assert AMonomial(zs=(0, 2)).zs == (2,)
 
 
+def test_monomial_rejects_non_integers():
+    for fields in [{"zs": (2.5,)}, {"hs": ("3",)}, {"zs": (0.0,)}, {"barred": 1.5}]:
+        with pytest.raises(TypeError):
+            AMonomial(**fields)
+
+
 def test_algebra_string_and_json():
     x = a_z("d", 2) * a_h("d", 1) + a_hbar().scale(3)
     assert str(x) == "z2*h1 + 3*hbar0"

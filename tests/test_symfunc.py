@@ -444,6 +444,13 @@ def test_sigma_char_rejects_bad_shapes():
         sigma_char((1, 1, 1), "b", 2)
 
 
+def test_sigma_char_rejects_non_integers():
+    for shape in [(1.7,), (2.0, 1), ("1",), (1, -1.0)]:
+        with pytest.raises(TypeError):
+            sigma_char(shape, "d", 2)
+    assert sigma_char((1, 0, 0), "c", 2) == sigma_char((1,), "c", 2)
+
+
 def test_schur_poly_values():
     assert schur_poly((1,), 2).terms == {(1, 0): 1, (0, 1): 1}
     assert schur_poly((2, 1), 2).at_ones() == 2

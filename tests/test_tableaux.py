@@ -580,8 +580,11 @@ def test_order_and_admissibility_violations():
 
 # The fixtures of the violation tests above, each with its exact report:
 # the messages are part of the interface, so the indexed two-column rules
-# must keep them byte for byte.  The last two rows are witnesses that the
-# paper's reading accepts and a rejected reading reports.
+# must keep them byte for byte.  The two rows before the last are witnesses
+# that the paper's reading accepts and a rejected reading reports; the last
+# row breaks several clauses and pins the report order: per column, left to
+# right (order, admissibility, full-column parity), then per adjacent column
+# pair (row order on the shared rows, then the two-column rules).
 VIOLATION_STRINGS = [
     (((2, 2), ((-1, -1), (1, 1)), "c", 2), PAPER, [
         ("bracket-pair-distance",
@@ -637,6 +640,17 @@ VIOLATION_STRINGS = [
      Reading(pair_scope="mixed"), [
         ("bracket-pair-distance",
          "columns 1,2: bracket -4@1..4@4 with pair -2@2,2@3 has gap 2 >= 2"),
+    ]),
+    (((3, 3), ((1, 1, -2), (-1, 1, -2)), "d", 2), PAPER, [
+        ("column-order", "column 2: 1 may not sit above 1"),
+        ("full-column-parity",
+         "column 2: 1 at row 2 of a full column (last row count 3)"),
+        ("column-order", "column 3: -2 may not sit above -2"),
+        ("column-admissibility", "column 3: (-2, -2) at rank 2"),
+        ("row-order", "row 2: -1 may not precede 1"),
+        ("sign-overlap", "columns 1,2: 1@1 left sits above 1@2 right"),
+        ("row-order", "row 1: 1 may not precede -2"),
+        ("row-order", "row 2: 1 may not precede -2"),
     ]),
 ]
 

@@ -147,6 +147,15 @@ def test_weight_json_roundtrip():
     assert Weight.from_json('{"tail": 0, "exceptions": {"2": -1}}') == Weight((0, -1), 0)
 
 
+def test_weight_rejects_non_integers():
+    # coordinates and tails are rejected, not truncated or parsed
+    for prefix, tail in [((1.5, 2.9), 0), ((2.0,), 0), (("3",), 0), ((1,), 0.5)]:
+        with pytest.raises(TypeError):
+            Weight(prefix, tail)
+    with pytest.raises(TypeError):
+        Weight.from_exceptions(0, {"1": 1.5})
+
+
 def test_pairing_rules():
     w = Weight((1, -1), -2)
     assert pairing(w, 1, "c") == 2
