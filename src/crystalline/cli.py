@@ -557,25 +557,22 @@ def cmd_groth(args) -> int:
             product = groth_mul(product, _parse_groth_token(token, lie), args.degree)
     except InvalidShapeError as exc:
         raise CliError(str(exc)) from exc
-    lines: dict[str, str] = {}
+    sides = {}
     if args.side in ("K", "both"):
-        lines["ring"] = str(product)
+        sides["ring"] = product
     if args.side in ("A", "both"):
         if product.through_degree is not None:
             raise CliError(
                 "the expression is an infinite series; the algebra side"
                 " needs an exact product"
             )
-        lines["algebra"] = str(psi(product))
+        sides["algebra"] = psi(product)
     if args.format == "json":
         blob = {"type": lie.upper(), "expr": args.expr}
-        if "ring" in lines:
-            blob["ring"] = product.to_json()
-        if "algebra" in lines:
-            blob["algebra"] = psi(product).to_json()
+        blob.update((key, value.to_json()) for key, value in sides.items())
         text = to_json_text(blob)
     else:
-        text = "\n".join(lines.values()) + "\n"
+        text = "\n".join(str(value) for value in sides.values()) + "\n"
     emit(text, args.output)
     return EXIT_OK
 

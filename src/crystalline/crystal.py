@@ -10,16 +10,18 @@ The single-box crystals are chains through the barred and unbarred letters:
   while -2 -> 1 and -1 -> 2 are labelled 0.
 
 Raising and lowering follow the tensor signature rule, in which the
-lowering operator prefers the leftmost factor.  One reduction (``_reduce``)
-implements it on a sequence of (eps, phi) pairs: the letters of a word, or
-the factors of a tensor element.  Tableaux are read column by column from
-the rightmost column to the left, each column top to bottom.  (The mirrored
-reading, left to right and bottom to top, breaks closure already on one row
-of two cells; the tests keep it as a reference.)
+lowering operator prefers the leftmost factor.  One pass over a word
+(``_signatures``) applies it for every index at once; every reader of a
+word, a tableau or a tensor element goes through it.  Tableaux are read
+column by column from the rightmost column to the left, each column top to
+bottom.  (The mirrored reading, left to right and bottom to top, breaks
+closure already on one row of two cells; the tests keep it as a reference.)
 
-A tensor element is a tuple of tableau factors.  Graphs are generated by
-breadth-first closure under all raising and lowering operators; the source
-of one model has a closed form, and tensor sources come from full scans.
+A tensor element is a tuple of tableau factors, and it acts through the
+concatenated reading word of its factors; a tableau is the one-factor case.
+Graphs are generated by breadth-first closure under all raising and
+lowering operators, reading each vertex's word once; the source of one
+model has a closed form, and tensor sources come from full scans.
 
 Rank-stabilized decompositions translate the sources of a rank-n model into
 rank-free labels: a pair of a partition (the finite-support part of the
@@ -30,15 +32,17 @@ multiset must agree between ranks n and n+1, with escalation on mismatch.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from crystalline.symfunc import LaurentPoly, lr_expand
 from crystalline.tableaux import (
     KNTableau,
+    _column_fillings,
     _parity_ok,
-    enumerate_kn,
+    alphabet,
     kn_validate,
     normalize_shape,
 )
@@ -111,9 +115,8 @@ def _letter_arrows(lie_type: str, n: int) -> dict[tuple[int, int], int]:
     else:
         arrows[(-2, 0)] = 1
         arrows[(-1, 0)] = 2
-        if n >= 2:
-            arrows[(-2, 1)] = -1
-            arrows[(1, 1)] = 2
+        arrows[(-2, 1)] = -1
+        arrows[(1, 1)] = 2
     return arrows
 
 
@@ -157,24 +160,19 @@ def letter_phi(x: int, i: int, lie_type: str, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _letter_signatures(lie_type: str, n: int) -> tuple[dict[int, tuple[int, int]], ...]:
-    """Per index i, each letter's (eps_i, phi_i).
-
-    The tables share one tuple per distinct pair (most letters carry (0, 0)
-    at a given index), which keeps them small at the high ranks of a scan.
-    """
-    letters = [k for k in range(1, n + 1)] + [-k for k in range(1, n + 1)]
-    if lie_type == "b":
-        letters.append(0)
-    shared: dict[tuple[int, int], tuple[int, int]] = {}
-    tables = []
-    for i in range(n):
-        table = {}
-        for x in letters:
-            pair = (letter_eps(x, i, lie_type, n), letter_phi(x, i, lie_type, n))
-            table[x] = shared.setdefault(pair, pair)
-        tables.append(table)
-    return tuple(tables)
+def _letter_moves(
+    lie_type: str, n: int
+) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Per letter, (i, eps_i, phi_i) for each index i whose string passes
+    through it; a letter lies on the strings of at most three indices."""
+    moves = {}
+    for x in alphabet(lie_type, n):
+        strings = [
+            (i, letter_eps(x, i, lie_type, n), letter_phi(x, i, lie_type, n))
+            for i in range(n)
+        ]
+        moves[x] = tuple(s for s in strings if s[1] or s[2])
+    return moves
 
 
 def simple_root(i: int, lie_type: str) -> Weight:
@@ -195,51 +193,50 @@ def simple_root(i: int, lie_type: str) -> Weight:
 # words under the signature rule
 
 
-def _reduce(
-    pairs: Iterable[tuple[int, int]],
-) -> tuple[int, int, int | None, int | None]:
-    """The signature rule on a sequence of (eps, phi) pairs.
+def _signatures(
+    word: Iterable[int], lie_type: str, n: int
+) -> tuple[list[int], list[int], list[int | None], list[int | None]]:
+    """The tensor signature rule for every index at once, in one pass.
 
-    Position k contributes eps_k minus signs followed by phi_k plus signs;
-    each minus cancels the nearest uncancelled plus to its left.  Returns
-    (minus, plus, e_pos, f_pos): the surviving minus and plus counts, the
-    position of the rightmost surviving minus (where raising acts) and of
-    the leftmost surviving plus (where lowering acts), None when there is
-    none.  Cancellation only removes the newest plus, so the leftmost
-    surviving plus is the first one pushed since the plus count was last 0.
+    Per index i, letter k contributes eps_i minus signs followed by phi_i
+    plus signs; each minus cancels the nearest uncancelled plus to its left.
+    Returns four lists indexed by i: the surviving minus and plus counts,
+    the position of the rightmost surviving minus (where e_i acts) and of
+    the leftmost surviving plus (where f_i acts), None when there is none.
+    Cancellation only removes the newest plus, so the leftmost surviving
+    plus is the first one pushed since the plus count was last 0.
     """
-    minus = plus = 0
-    e_pos = f_pos = None
-    for pos, (eps, phi) in enumerate(pairs):
-        if eps:
-            if eps <= plus:
-                plus -= eps
-            else:
-                minus += eps - plus
-                plus = 0
-                e_pos = pos
-        if phi:
-            if not plus:
-                f_pos = pos
-            plus += phi
-    return minus, plus, e_pos, f_pos if plus else None
-
-
-def _word_signature(
-    word: Iterable[int], i: int, lie_type: str, n: int
-) -> tuple[int, int, int | None, int | None]:
-    """The reduced i-signature of a word of letters (see ``_reduce``)."""
-    return _reduce(map(_letter_signatures(lie_type, n)[i].__getitem__, word))
+    moves = _letter_moves(lie_type, n)
+    minus, plus = [0] * n, [0] * n
+    e_pos: list[int | None] = [None] * n
+    f_pos: list[int | None] = [None] * n
+    for pos, x in enumerate(word):
+        for i, eps, phi in moves[x]:
+            if eps:
+                have = plus[i]
+                if eps < have:
+                    plus[i] = have - eps
+                else:
+                    if eps > have:
+                        minus[i] += eps - have
+                        e_pos[i] = pos
+                    plus[i] = 0
+                    f_pos[i] = None
+            if phi:
+                if not plus[i]:
+                    f_pos[i] = pos
+                plus[i] += phi
+    return minus, plus, e_pos, f_pos
 
 
 def word_eps(word: Sequence[int], i: int, lie_type: str, n: int) -> int:
     _check_index(i, n)
-    return _word_signature(word, i, lie_type, n)[0]
+    return _signatures(word, lie_type, n)[0][i]
 
 
 def word_phi(word: Sequence[int], i: int, lie_type: str, n: int) -> int:
     _check_index(i, n)
-    return _word_signature(word, i, lie_type, n)[1]
+    return _signatures(word, lie_type, n)[1][i]
 
 
 def tensor_f(
@@ -247,7 +244,7 @@ def tensor_f(
 ) -> tuple[int, ...] | None:
     """Lower the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    pos = _word_signature(word, i, lie_type, n)[3]
+    pos = _signatures(word, lie_type, n)[3][i]
     if pos is None:
         return None
     out = list(word)
@@ -260,7 +257,7 @@ def tensor_e(
 ) -> tuple[int, ...] | None:
     """Raise the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    pos = _word_signature(word, i, lie_type, n)[2]
+    pos = _signatures(word, lie_type, n)[2][i]
     if pos is None:
         return None
     out = list(word)
@@ -304,40 +301,16 @@ def reading_word(T: KNTableau) -> tuple[int, ...]:
     return tuple(T.rows[i][j] for i, j in reading_positions(T.shape))
 
 
-def _tableau_signature(
-    T: KNTableau, i: int
-) -> tuple[int, int, int | None, int | None]:
-    return _word_signature(reading_word(T), i, T.lie_type, T.rank)
-
-
 def tableau_op(T: KNTableau, op: str, i: int) -> KNTableau | None:
-    """Apply a raising ("e") or lowering ("f") operator to a tableau.
+    """Apply a raising ("e") or lowering ("f") operator to a tableau: the
+    one-factor case of :meth:`CrystalElement.op`.
 
     The operator changes the letter at the position of the reading word that
     the signature rule selects.  Every result is checked against the filling
     rules; one that breaks them raises CrystalClosureError.
     """
-    if op not in ("e", "f"):
-        raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
-    lie_type, n, rows = T.lie_type, T.rank, T.rows
-    _check_index(i, n)
-    positions = reading_positions(T.shape)
-    _, _, e_pos, f_pos = _word_signature(
-        [rows[r][c] for r, c in positions], i, lie_type, n
-    )
-    pos = f_pos if op == "f" else e_pos
-    if pos is None:
-        return None
-    r, c = positions[pos]
-    row = list(rows[r])
-    act = letter_f if op == "f" else letter_e
-    row[c] = act(row[c], i, lie_type, n)
-    out = KNTableau._trusted(
-        T.shape, rows[:r] + (tuple(row),) + rows[r + 1 :], lie_type, n
-    )
-    if not kn_validate(out):
-        raise CrystalClosureError(T, op, i, out)
-    return out
+    out = CrystalElement((T,)).op(op, i)
+    return None if out is None else out.factors[0]
 
 
 def tableau_eps(T: KNTableau, i: int) -> int:
@@ -391,24 +364,37 @@ class CrystalElement:
         return tuple((T.shape, T.rows) for T in self.factors)
 
     def op(self, op: str, i: int) -> "CrystalElement | None":
-        """Apply the operator through the tensor signature rule: each factor
-        contributes its (eps_i, phi_i), and the reduction of those pairs
-        selects the factor the operator acts on."""
+        """Apply the operator through the tensor signature rule on the
+        concatenated reading word of the factors."""
         if op not in ("e", "f"):
             raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
         _check_index(i, self.rank)
-        _, _, e_pos, f_pos = _reduce(
-            _tableau_signature(T, i)[:2] for T in self.factors
+        return self._apply(op, i, _signatures(self.word(), self.lie_type, self.rank))
+
+    def _apply(self, op: str, i: int, sig: tuple) -> "CrystalElement | None":
+        """The operator at the word position that ``sig``, the
+        ``_signatures`` of this element's word, selects for it.  The changed
+        factor is checked against the filling rules; a break raises
+        CrystalClosureError."""
+        pos = sig[3 if op == "f" else 2][i]
+        if pos is None:
+            return None
+        factors = self.factors
+        for k, T in enumerate(factors):
+            positions = reading_positions(T.shape)
+            if pos < len(positions):
+                break
+            pos -= len(positions)
+        lie_type, n, rows = T.lie_type, T.rank, T.rows
+        r, c = positions[pos]
+        row = list(rows[r])
+        row[c] = (letter_f if op == "f" else letter_e)(row[c], i, lie_type, n)
+        out = KNTableau._trusted(
+            T.shape, rows[:r] + (tuple(row),) + rows[r + 1 :], lie_type, n
         )
-        target = f_pos if op == "f" else e_pos
-        if target is None:
-            return None
-        changed = tableau_op(self.factors[target], op, i)
-        if changed is None:
-            return None
-        factors = list(self.factors)
-        factors[target] = changed
-        return CrystalElement(tuple(factors))
+        if not kn_validate(out):
+            raise CrystalClosureError(T, op, i, out)
+        return CrystalElement(factors[:k] + (out,) + factors[k + 1 :])
 
     def eps(self, i: int) -> int:
         return word_eps(self.word(), i, self.lie_type, self.rank)
@@ -503,14 +489,15 @@ def build_graph(
     while frontier:
         new: list[CrystalElement] = []
         for v in frontier:
+            sig = _signatures(v.word(), lie_type, n)
             for i in range(n):
-                down = v.op("f", i)
+                down = v._apply("f", i, sig)
                 if down is not None:
                     arrows[(v, i)] = down
                     if down not in seen:
                         seen.add(down)
                         new.append(down)
-                up = v.op("e", i)
+                up = v._apply("e", i, sig)
                 if up is not None:
                     arrows[(up, i)] = v
                     if up not in seen:
@@ -529,17 +516,6 @@ def build_graph(
 # highest-weight scans
 
 
-def _eps_phi_table(
-    tableaux: Sequence[KNTableau], n: int
-) -> list[tuple[KNTableau, tuple[int, ...], tuple[int, ...]]]:
-    out = []
-    for T in tableaux:
-        word = reading_word(T)
-        sigs = [_word_signature(word, i, T.lie_type, n) for i in range(n)]
-        out.append((T, tuple(s[0] for s in sigs), tuple(s[1] for s in sigs)))
-    return out
-
-
 def _graph_tableaux(graph_or_seq) -> list[KNTableau]:
     if isinstance(graph_or_seq, CrystalGraph):
         out = []
@@ -551,6 +527,12 @@ def _graph_tableaux(graph_or_seq) -> list[KNTableau]:
     return list(graph_or_seq)
 
 
+def _raises_nothing(eps_y: Sequence[int], phi_x: Sequence[int]) -> bool:
+    """Whether x (x) y is killed by every e_i, for x killed by every e_i:
+    the signature rule then leaves only eps_i(y) - phi_i(x) minus signs."""
+    return all(map(operator.le, eps_y, phi_x))
+
+
 def tensor_highest_weights(left, right) -> list[tuple[KNTableau, KNTableau]]:
     """All pairs killed by every raising operator, in deterministic order."""
     lefts = _graph_tableaux(left)
@@ -559,16 +541,14 @@ def tensor_highest_weights(left, right) -> list[tuple[KNTableau, KNTableau]]:
         return []
     if lefts[0].lie_type != rights[0].lie_type or lefts[0].rank != rights[0].rank:
         raise ValueError("tensor factors must share type and rank")
-    n = lefts[0].rank
-    left_table = _eps_phi_table(lefts, n)
-    right_table = _eps_phi_table(rights, n)
+    lie_type, n = lefts[0].lie_type, lefts[0].rank
+    right_eps = [(y, _signatures(reading_word(y), lie_type, n)[0]) for y in rights]
     out = []
-    for x, eps_x, phi_x in left_table:
+    for x in lefts:
+        eps_x, phi_x, _, _ = _signatures(reading_word(x), lie_type, n)
         if any(eps_x):
             continue
-        for y, eps_y, _ in right_table:
-            if all(eps_y[i] <= phi_x[i] for i in range(n)):
-                out.append((x, y))
+        out.extend((x, y) for y, eps_y in right_eps if _raises_nothing(eps_y, phi_x))
     out.sort(key=lambda pair: (pair[0].rows, pair[1].rows))
     return out
 
@@ -705,7 +685,7 @@ def _model_source(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
     if lie_type == "d" and len(signed) == n:
         rows[-1] = (1 if _parity_ok(1, n, signed[-1]) else -1,) * abs(signed[-1])
     T = KNTableau(signed, tuple(rows), lie_type, n)
-    if not kn_validate(T) or any(_tableau_signature(T, i)[0] for i in range(n)):
+    if not kn_validate(T) or any(_signatures(reading_word(T), lie_type, n)[0]):
         raise CrystalClosureError(T, "source", None, T)
     return T
 
@@ -720,21 +700,22 @@ def _scan_at_rank(
     """Source weights of the rank-n model tensor, filtered and translated.
 
     The left model is a single connected crystal, so only its source is
-    materialized; the right model is enumerated in full.
+    materialized; the right model's fillings are enumerated in full as
+    columns, and each is read as a word (columns right to left, each top to
+    bottom) without building a tableau.
     """
     source = _model_source(left.rank_model_shape(n), lie_type, n)
-    phi_x = tuple(_tableau_signature(source, i)[1] for i in range(n))
+    phi_x = _signatures(reading_word(source), lie_type, n)[1]
     weight_x = source.weight()
     tail = left.level_tail() + right.level_tail()
     zero_size = left.zero_size() + right.zero_size()
+    signed = normalize_shape(right.rank_model_shape(n), lie_type, n)
     out: dict[StableComponent, int] = {}
-    for y in enumerate_kn(right.rank_model_shape(n), lie_type, n, max_count=max_count):
-        word_y = reading_word(y)
-        if not all(
-            _word_signature(word_y, i, lie_type, n)[0] <= phi_x[i] for i in range(n)
-        ):
+    for cols in _column_fillings(signed, lie_type, n, max_count):
+        word = [x for col in reversed(cols) for x in col]
+        if not _raises_nothing(_signatures(word, lie_type, n)[0], phi_x):
             continue
-        window = (weight_x + y.weight()).window(n)
+        window = (weight_x + word_weight(word, n)).window(n)
         if not _is_stable_window(window, tail, lie_type, zero_size):
             continue
         label = window_to_component(window, tail, lie_type)

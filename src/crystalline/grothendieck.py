@@ -677,15 +677,11 @@ def delta(m: int, letter: tuple, lie_type: str) -> AElement:
                 out.add(_zh(lie_type, i, m - i - 2 * j, barred=True))
     elif kind != "h":
         raise ValueError("only row letters have corrections")
-    elif lie_type == "c":
+    elif lie_type != "d":
         for i in range(m):
             for j in range(min(a, m - i) + 1):
                 out.add(_zh(lie_type, i, a + m - i - 2 * j))
-    elif lie_type == "b":
-        for i in range(m):
-            for j in range(min(a, m - i) + 1):
-                out.add(_zh(lie_type, i, a + m - i - 2 * j))
-            if m - i > a:
+            if lie_type == "b":
                 for k in range(1, m - i - a + 1):
                     out.add(_zh(lie_type, i, m - i - a - k))
     elif a == 0:

@@ -620,20 +620,6 @@ def _admissible_columns(
     return tuple(col for col in out if _column_clean(col, lie_type, n, last))
 
 
-def _tableau_from_columns(
-    signed: tuple[int, ...],
-    chosen: Sequence[tuple[int, ...]],
-    lie_type: str,
-    n: int,
-) -> KNTableau:
-    widths = _abs_shape(signed)
-    rows = tuple(
-        tuple(chosen[j][i - 1] for j in range(widths[i - 1]))
-        for i in range(1, len(widths) + 1)
-    )
-    return KNTableau._trusted(signed, rows, lie_type, n)
-
-
 def enumerate_kn(
     shape: Sequence[int],
     lie_type: str,
@@ -642,21 +628,42 @@ def enumerate_kn(
 ) -> tuple[KNTableau, ...]:
     """The complete set of valid fillings of the shape at rank n, sorted.
 
+    Raises ResourceCapError when more than max_count fillings accumulate.
+    """
+    signed = normalize_shape(shape, lie_type, n)
+    widths = _abs_shape(signed)
+    results = [
+        KNTableau._trusted(
+            signed,
+            tuple(tuple(cols[j][i] for j in range(w)) for i, w in enumerate(widths)),
+            lie_type,
+            n,
+        )
+        for cols in _column_fillings(signed, lie_type, n, max_count)
+    ]
+    results.sort(key=lambda t: t.rows)
+    return tuple(results)
+
+
+def _column_fillings(
+    signed: tuple[int, ...], lie_type: str, n: int, max_count: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The valid fillings of a normalized shape at rank n as tuples of
+    columns, left to right, in generation order.
+
     Enumeration goes column by column from the left, pruning by column
     admissibility (and the full-column parity rule when it applies) before
     filtering adjacent columns through the two-column rules.  Raises
     ResourceCapError when more than max_count fillings accumulate.
     """
-    signed = normalize_shape(shape, lie_type, n)
-    widths = _abs_shape(signed)
-    heights = conjugate(widths)
+    heights = conjugate(_abs_shape(signed))
     last = _full_row_count(signed, lie_type, n)
     candidates = [_admissible_columns(lie_type, n, h, last) for h in heights]
     # Per call: for each pair of adjacent heights, the columns that may
     # follow a given left column, computed the first time that column
     # appears on the left.
     followers: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
-    results: list[KNTableau] = []
+    results: list[tuple[tuple[int, ...], ...]] = []
 
     def extend(j: int, chosen: list[tuple[int, ...]]) -> None:
         if j == len(heights):
@@ -664,7 +671,7 @@ def enumerate_kn(
                 raise ResourceCapError(
                     f"more than {max_count} fillings of shape {signed} at rank {n}"
                 )
-            results.append(_tableau_from_columns(signed, chosen, lie_type, n))
+            results.append(tuple(chosen))
             return
         if j == 0:
             options = candidates[0]
@@ -684,8 +691,7 @@ def enumerate_kn(
             chosen.pop()
 
     extend(0, [])
-    results.sort(key=lambda t: t.rows)
-    return tuple(results)
+    return results
 
 
 # ---------------------------------------------------------------------------

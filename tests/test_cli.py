@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -301,3 +302,53 @@ def test_malformed_input_exits_2_with_one_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+README = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md"
+)
+
+
+def readme_examples():
+    """Every ``$ crystal ...`` line in the README's code blocks, with the
+    output lines printed under it (up to a blank line or the next prompt)."""
+    examples, current, in_block = [], None, False
+    with open(README, encoding="utf-8") as handle:
+        for line in handle.read().splitlines():
+            if line.startswith("```"):
+                in_block, current = not in_block, None
+            elif not in_block:
+                continue
+            elif line.startswith("$ crystal "):
+                current = (line[len("$ crystal ") :], [])
+                examples.append(current)
+            elif current is not None and line:
+                current[1].append(line)
+            else:
+                current = None
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_examples_are_found():
+    assert len(README_EXAMPLES) == 7
+    assert all(expected for _, expected in README_EXAMPLES)
+
+
+@pytest.mark.parametrize(
+    "command,expected", README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES]
+)
+def test_readme_example_prints_what_the_readme_shows(capsys, command, expected):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 0, err
+    if expected[0] == "...":
+        # an elided example: only the lines after the ellipsis are shown
+        assert out.splitlines()[-(len(expected) - 1) :] == expected[1:]
+    else:
+        assert out == "\n".join(expected) + "\n"

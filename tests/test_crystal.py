@@ -176,14 +176,14 @@ def test_signature_cancellation():
     assert word_phi((1, -1), 0, "c", 2) == 1
 
 
-def brute_signature(word, i, lie_type, n):
-    """The reduced i-signature by the definition: write out every sign with
-    its position, cancel adjacent (+, -) pairs until none remain, and read
-    off the surviving counts, the rightmost - and the leftmost +."""
+def brute_reduction(pairs):
+    """The signature rule by the definition, on a sequence of (eps, phi)
+    pairs: write out eps minus signs then phi plus signs per position, cancel
+    adjacent (+, -) pairs until none remain, and read off the surviving
+    counts, the rightmost - and the leftmost +."""
     signs = []
-    for pos, x in enumerate(word):
-        signs += [("-", pos)] * letter_eps(x, i, lie_type, n)
-        signs += [("+", pos)] * letter_phi(x, i, lie_type, n)
+    for pos, (eps, phi) in enumerate(pairs):
+        signs += [("-", pos)] * eps + [("+", pos)] * phi
     changed = True
     while changed:
         changed = False
@@ -202,6 +202,13 @@ def brute_signature(word, i, lie_type, n):
     )
 
 
+def brute_signature(word, i, lie_type, n):
+    """The reduced i-signature of a word by the definition."""
+    return brute_reduction(
+        (letter_eps(x, i, lie_type, n), letter_phi(x, i, lie_type, n)) for x in word
+    )
+
+
 @pytest.mark.parametrize("lie_type", ["b", "c", "d"])
 def test_one_reduction_matches_pairwise_cancellation(lie_type):
     seen = set()
@@ -209,9 +216,11 @@ def test_one_reduction_matches_pairwise_cancellation(lie_type):
         letters = [x for x in range(-n, n + 1) if x != 0 or lie_type == "b"]
         for length in range(5):
             for word in itertools.product(letters, repeat=length):
+                signatures = crystal._signatures(word, lie_type, n)
+                assert all(len(column) == n for column in signatures)
                 for i in range(n):
                     want = brute_signature(word, i, lie_type, n)
-                    assert crystal._word_signature(word, i, lie_type, n) == want
+                    assert tuple(column[i] for column in signatures) == want
                     minus, plus, e_pos, f_pos = want
                     assert word_eps(word, i, lie_type, n) == minus
                     assert word_phi(word, i, lie_type, n) == plus
@@ -326,6 +335,10 @@ def test_tableau_op_check_holds_under_optimize():
             crystal._model_source((2, 1), "c", 3)
         except crystal.CrystalClosureError as err:
             print("raised", err.op, err.index, __debug__)
+        try:
+            crystal.build_graph(t_lambda((2, 1), "c", 3))
+        except crystal.CrystalClosureError as err:
+            print("raised", err.op, err.index, __debug__)
         """
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
@@ -336,7 +349,7 @@ def test_tableau_op_check_holds_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "raised f 1 False", "raised source None False"
+        "raised f 1 False", "raised source None False", "raised e 0 False"
     ]
 
 
@@ -451,6 +464,19 @@ def element_families(lie_type, n):
         yield from itertools.product(singles, repeat=3)
 
 
+def factor_level_op(el, op, i):
+    """The operator by the factor-level rule: reduce the factors' (eps_i,
+    phi_i) pairs to pick a factor, then act on that factor alone."""
+    pairs = [(tableau_eps(T, i), tableau_phi(T, i)) for T in el.factors]
+    _, _, e_pos, f_pos = brute_reduction(pairs)
+    target = f_pos if op == "f" else e_pos
+    if target is None:
+        return None
+    factors = list(el.factors)
+    factors[target] = tableau_op(factors[target], op, i)
+    return CrystalElement(tuple(factors))
+
+
 def test_element_operator_agrees_with_concatenated_word():
     for lie_type, n in [("c", 2), ("b", 2), ("d", 2), ("c", 3), ("b", 3), ("d", 3)]:
         acted = 0
@@ -464,6 +490,7 @@ def test_element_operator_agrees_with_concatenated_word():
                 for op, word_op in (("f", tensor_f), ("e", tensor_e)):
                     via_word = word_op(word, i, lie_type, n)
                     via_el = el.op(op, i)
+                    assert via_el == factor_level_op(el, op, i)
                     if via_word is None:
                         assert via_el is None
                     else:
@@ -643,6 +670,48 @@ def test_one_scan_validates_one_tableau(monkeypatch):
     assert scan and len(calls) == 1
 
 
+def reference_scan(left, right, lie_type, n, max_count):
+    """The scan through whole tableaux: every filling from ``enumerate_kn``,
+    its ``reading_word``, and eps_i of that word one index at a time."""
+    source = crystal._model_source(left.rank_model_shape(n), lie_type, n)
+    phi_x = [tableau_phi(source, i) for i in range(n)]
+    tail = left.level_tail() + right.level_tail()
+    zero_size = left.zero_size() + right.zero_size()
+    out = {}
+    for y in enumerate_kn(right.rank_model_shape(n), lie_type, n, max_count):
+        word = reading_word(y)
+        if not all(word_eps(word, i, lie_type, n) <= phi_x[i] for i in range(n)):
+            continue
+        window = (source.weight() + y.weight()).window(n)
+        if not crystal._is_stable_window(window, tail, lie_type, zero_size):
+            continue
+        label = crystal.window_to_component(window, tail, lie_type)
+        out[label] = out.get(label, 0) + 1
+    return out
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_column_scan_matches_the_tableau_scan(lie_type):
+    cap = crystal.DEFAULT_MAX_VERTICES
+    rights = [TensorFactor.zero(mu) for mu in [(1,), (2,), (1, 1), (2, 1)]]
+    lefts = [
+        TensorFactor.dominant(DominantShape(lie_type, lam, ell))
+        for lam, ell in DOMINANT_MODELS
+    ] + [TensorFactor.zero((1,))]
+    labels = 0
+    for n in (3, 4, 5, 6):
+        for left in lefts:
+            for right in rights:
+                scan = crystal._scan_at_rank(left, right, lie_type, n, cap)
+                assert scan == reference_scan(left, right, lie_type, n, cap), (
+                    n, left, right
+                )
+                labels += len(scan)
+    assert labels > 100
+    with pytest.raises(ResourceCapError):
+        crystal._scan_at_rank(lefts[0], rights[-1], lie_type, 3, 10)
+
+
 def test_model_source_checks_its_result(monkeypatch):
     # a validator that rejects everything, or a signature that sees a
     # raising step, turns the closed form into a CrystalClosureError
@@ -652,7 +721,9 @@ def test_model_source_checks_its_result(monkeypatch):
     err = info.value
     assert (err.op, err.index, err.result.rows) == ("source", None, ((-3,),))
     monkeypatch.setattr(crystal, "kn_validate", lambda T: True)
-    monkeypatch.setattr(crystal, "_tableau_signature", lambda T, i: (i, 0, None, None))
+    monkeypatch.setattr(
+        crystal, "_signatures", lambda word, lie_type, n: (list(range(n)), [0] * n)
+    )
     with pytest.raises(CrystalClosureError) as info:
         crystal._model_source((1,), "c", 3)
     assert (info.value.op, info.value.index) == ("source", None)
