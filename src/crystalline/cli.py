@@ -326,15 +326,19 @@ def _bridge_instances(args):
                     yield lie, shape, n, rho
 
 
+def _specialized_series(shape: DominantShape, n: int) -> LaurentPoly:
+    """The shape's stable series at rank n, computed in n variables."""
+    cutoff = 2 * shape.ell * n + 4
+    return laurent_specialize(
+        s_g_series(shape, cutoff, rows=n).with_t_power(shape.ell), n
+    )
+
+
 def suite_laurent_bridge(args) -> list[Instance]:
     """Specialized dominant-shape series against the rank-n determinant."""
     out: list[Instance] = []
     for lie, shape, n, rho in _bridge_instances(args):
-        cutoff = 2 * shape.ell * n + 4
-        series = laurent_specialize(
-            s_g_series(shape, cutoff).with_t_power(shape.ell), n
-        )
-        ok = series == sigma_char(rho, lie, n)
+        ok = _specialized_series(shape, n) == sigma_char(rho, lie, n)
         out.append((f"type {lie} shape {shape} rank {n}", ok, f"rho={rho}"))
     return out
 
@@ -354,15 +358,11 @@ def suite_jt_character(args) -> list[Instance]:
     else:
         instances = list(_bridge_instances(args))
     for lie, shape, n, rho in instances:
-        cutoff = 2 * shape.ell * n + 4
-        series = laurent_specialize(
-            s_g_series(shape, cutoff).with_t_power(shape.ell), n
-        )
         tableaux = enumerate_kn(rho, lie, n, max_count=args.max_vertices)
         enum = LaurentPoly.from_weights(
             n, [T.weight().window(n) for T in tableaux]
         )
-        ok = series == enum
+        ok = _specialized_series(shape, n) == enum
         out.append(
             (f"type {lie} shape {shape} rank {n}", ok, f"{len(tableaux)} fillings")
         )

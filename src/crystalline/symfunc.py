@@ -145,21 +145,36 @@ class SchurSeries(TermMap):
 
     Partitions of size greater than ``cutoff`` are unknown and never
     stored; binary operations insist on equal cutoffs so that a truncated
-    identity is never mistaken for an exact one.
+    identity is never mistaken for an exact one.  A row bound ``rows``
+    (None: unbounded) likewise drops partitions with more than ``rows``
+    parts: the series is then its image in the symmetric functions of
+    ``rows`` variables, where s_lam = 0 for len(lam) > rows.  That map is
+    a ring homomorphism, so bounded arithmetic is exact there.
     """
 
     __slots__ = ()
     cutoff = property(lambda self: self._ctx[0])
     t_power = property(lambda self: self._ctx[1])
+    rows = property(lambda self: self._ctx[2])
     coeffs = TermMap.terms
 
-    def __init__(self, cutoff: int, coeffs: Mapping | None = None, t_power: int = 0):
-        self._init((cutoff, t_power), coeffs)
+    def __init__(
+        self,
+        cutoff: int,
+        coeffs: Mapping | None = None,
+        t_power: int = 0,
+        rows: int | None = None,
+    ):
+        if rows is not None:
+            rows = _row_bound(rows)
+        self._init((cutoff, t_power, rows), coeffs)
 
     @staticmethod
     def _key(ctx: tuple, lam: Sequence[int]) -> Partition | None:
         lam = make_partition(lam)
-        return lam if sum(lam) <= ctx[0] else None
+        if sum(lam) > ctx[0] or (ctx[2] is not None and len(lam) > ctx[2]):
+            return None
+        return lam
 
     @staticmethod
     def _join(a: tuple, b: tuple) -> tuple:
@@ -167,6 +182,8 @@ class SchurSeries(TermMap):
             raise CutoffMismatchError(f"cutoffs differ: {a[0]} vs {b[0]}")
         if a[1] != b[1]:
             raise CutoffMismatchError(f"t gradings differ: {a[1]} vs {b[1]}")
+        if a[2] != b[2]:
+            raise CutoffMismatchError(f"row bounds differ: {a[2]} vs {b[2]}")
         return a
 
     def __mul__(self, other: "SchurSeries") -> "SchurSeries":
@@ -184,30 +201,51 @@ class SchurSeries(TermMap):
         if cutoff > self.cutoff:
             raise CutoffMismatchError("cannot raise a cutoff after truncation")
         return self._trusted(
-            (cutoff, self.t_power),
+            (cutoff, self.t_power, self.rows),
             {l: c for l, c in self.coeffs.items() if sum(l) <= cutoff},
         )
 
+    def restrict(self, rows: int) -> "SchurSeries":
+        """The image in ``rows`` variables: partitions with more parts drop."""
+        rows = _row_bound(rows)
+        if self.rows is not None and rows > self.rows:
+            raise CutoffMismatchError("cannot raise a row bound after restriction")
+        return self._trusted(
+            (self.cutoff, self.t_power, rows),
+            {l: c for l, c in self.coeffs.items() if len(l) <= rows},
+        )
+
     def with_t_power(self, t_power: int) -> "SchurSeries":
-        return self._trusted((self.cutoff, t_power), self.coeffs)
+        return self._trusted((self.cutoff, t_power, self.rows), self.coeffs)
 
     def to_json(self) -> dict:
         terms = [
             {"partition": list(lam), "coeff": c}
             for lam, c in sorted(self.coeffs.items())
         ]
-        return {"cutoff": self.cutoff, "t_power": self.t_power, "terms": terms}
+        data = {"cutoff": self.cutoff, "t_power": self.t_power, "terms": terms}
+        if self.rows is not None:
+            data["rows"] = self.rows
+        return data
 
     @staticmethod
     def from_json(data: Mapping) -> "SchurSeries":
         coeffs = {tuple(t["partition"]): t["coeff"] for t in data["terms"]}
-        return SchurSeries(data["cutoff"], coeffs, data.get("t_power", 0))
+        return SchurSeries(
+            data["cutoff"], coeffs, data.get("t_power", 0), data.get("rows")
+        )
 
     def __str__(self) -> str:
         ordered = sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         return show_terms(
             ("s[%s]" % ",".join(map(str, lam)) if lam else "1", c) for lam, c in ordered
         )
+
+
+def _row_bound(rows) -> int:
+    if not isinstance(rows, int) or rows < 0:
+        raise ValueError(f"row bound {rows!r} is not a non-negative integer")
+    return rows
 
 
 def schur_basis(lam: Sequence[int], cutoff: int, t_power: int = 0) -> SchurSeries:
@@ -233,7 +271,9 @@ def e_series(r: int, cutoff: int, t_power: int = 0) -> SchurSeries:
 def schur_mul(f: SchurSeries, g: SchurSeries) -> SchurSeries:
     if f.cutoff != g.cutoff:
         raise CutoffMismatchError(f"cutoffs differ: {f.cutoff} vs {g.cutoff}")
-    cutoff = f.cutoff
+    if f.rows != g.rows:
+        raise CutoffMismatchError(f"row bounds differ: {f.rows} vs {g.rows}")
+    cutoff, rows = f.cutoff, f.rows
     right = [(mu, sum(mu), b) for mu, b in g.coeffs.items()]
     out: dict[Partition, int] = {}
     for lam, a in f.coeffs.items():
@@ -244,7 +284,9 @@ def schur_mul(f: SchurSeries, g: SchurSeries) -> SchurSeries:
             ab = a * b
             for nu, c in _lr(lam, mu).items():
                 out[nu] = out.get(nu, 0) + ab * c
-    return SchurSeries._trusted((cutoff, f.t_power + g.t_power), out)
+    if rows is not None:
+        out = {nu: c for nu, c in out.items() if len(nu) <= rows}
+    return SchurSeries._trusted((cutoff, f.t_power + g.t_power, rows), out)
 
 
 def determinant(matrix: Sequence[Sequence], zero):
@@ -360,15 +402,20 @@ def spinor_char_barred(cutoff: int) -> SchurSeries:
 # Jacobi-Trudi determinants, shared by the series, the ring and the algebra
 
 
-def _reflected_det(bases: Sequence[int], entry: Callable, zero):
-    """det of the matrix whose row i, column j entry is E_{b_i+j} + [j != 0] E_{b_i-j},
-    for ``entry(r)`` = E_r, built and multiplied in one order for every ring."""
+def _reflected_matrix(bases: Sequence[int], entry: Callable) -> list[list]:
+    """The matrix whose row i, column j entry is E_{b_i+j} + [j != 0] E_{b_i-j},
+    for ``entry(r)`` = E_r."""
     size = len(bases)
-    matrix = [
+    return [
         [entry(b + j) + entry(b - j) if j else entry(b) for j in range(size)]
         for b in bases
     ]
-    return determinant(matrix, zero)
+
+
+def _reflected_det(bases: Sequence[int], entry: Callable, zero):
+    """det of :func:`_reflected_matrix`, built and multiplied in one order
+    for every ring."""
+    return determinant(_reflected_matrix(bases, entry), zero)
 
 
 def _level_det(lam: Sequence[int], ell: int, entry: Callable, zero, one):
@@ -428,18 +475,27 @@ def jt_determinant(shape: DominantShape, flavor: str, cutoff: int) -> SchurSerie
     )
 
 
-def s_g_series(shape: DominantShape, cutoff: int) -> SchurSeries:
+def s_g_series(
+    shape: DominantShape, cutoff: int, rows: int | None = None
+) -> SchurSeries:
     """The type-adapted series S for a dominant shape (t power zero).
 
     :func:`type_determinant` over E-flavor series, the even orthogonal
-    correction being the alternating e product.
+    correction being the alternating e product.  With ``rows`` set, every
+    entry is restricted to that many rows first, so the determinant is
+    computed in ``rows`` variables and equals ``s_g_series(shape,
+    cutoff).restrict(rows)``.
     """
+
+    def bounded(f: SchurSeries) -> SchurSeries:
+        return f if rows is None else f.restrict(rows)
+
     return type_determinant(
         shape,
-        lambda r, flavor: cap_e_variant(r, flavor, cutoff),
-        zero_series(cutoff),
-        one_series(cutoff),
-        lambda: alternating_e_product(cutoff),
+        lambda r, flavor: bounded(cap_e_variant(r, flavor, cutoff)),
+        bounded(zero_series(cutoff)),
+        bounded(one_series(cutoff)),
+        lambda: bounded(alternating_e_product(cutoff)),
     )
 
 
@@ -581,10 +637,17 @@ def elementary_variant(r: int, flavor: str, letters, nvars: int) -> LaurentPoly:
 
 
 def _sigma_det(mu: Partition, flavor: str, letters, n: int) -> LaurentPoly:
-    """det(e-flavor entries) with row base mu_i - i + 1, size n x n."""
-    padded = tuple(mu) + (0,) * (n - len(mu))
+    """det(e-flavor entries) with row base mu_i - i + 1, size len(mu) x len(mu).
+
+    The rank-n determinant pads mu with zeros to n rows, but a padded row
+    i >= len(mu) has base -i: zeros left of the diagonal and e_0 = 1 on it.
+    That matrix is block unitriangular, so its determinant is the leading
+    len(mu) x len(mu) minor (1 for the empty partition).
+    """
+    if not mu:
+        return LaurentPoly.one(n)
     return _reflected_det(
-        [padded[i] - i for i in range(n)],
+        [p - i for i, p in enumerate(mu)],
         lambda r: elementary_variant(r, flavor, letters, n),
         LaurentPoly.zero(n),
     )
@@ -671,7 +734,15 @@ def _ssyt_terms(lam: Partition, n: int) -> dict[tuple, int]:
 
 
 def laurent_specialize(f: SchurSeries, n: int) -> LaurentPoly:
-    """Set x_{n+1} = ... = 0 and send each t to (x_1...x_n)^{-1}."""
+    """Set x_{n+1} = ... = 0 and send each t to (x_1...x_n)^{-1}.
+
+    A series restricted to fewer than n rows has lost terms that survive
+    in n variables, so it is rejected rather than specialized wrongly.
+    """
+    if f.rows is not None and f.rows < n:
+        raise ValueError(
+            f"series bounded to {f.rows} rows cannot specialize to rank {n}"
+        )
     total = Accumulator(LaurentPoly.zero(n))
     for lam, c in f.coeffs.items():
         if len(lam) <= n:

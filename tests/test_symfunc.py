@@ -1,6 +1,7 @@
 """Tests for Schur arithmetic, E-series identities, and rank-n characters."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
     conjugate,
+    level_shapes,
     make_partition,
     partitions_of,
 )
@@ -554,3 +556,128 @@ def test_determinant_against_cofactor_oracle(draw, zero):
             assert determinant(matrix, zero) == cofactor_determinant(matrix, zero), matrix
     with pytest.raises(ValueError):
         determinant([], zero)
+
+
+# ---------------------------------------------------------------------------
+# right-sized character determinants and row-bounded series
+
+
+def padded_sigma_det(mu, flavor, letters, n):
+    """The reference for ``_sigma_det``: the n x n determinant, mu padded with zeros."""
+    padded = tuple(mu) + (0,) * (n - len(mu))
+    return symfunc._reflected_det(
+        [padded[i] - i for i in range(n)],
+        lambda r: elementary_variant(r, flavor, letters, n),
+        LaurentPoly.zero(n),
+    )
+
+
+def _reference_shapes(lie_type, n):
+    """Small, full-height and (type d) signed shapes of rank n; a few at n = 5."""
+    if n == 5:
+        extra = {"b": [], "c": [(1,) * 5], "d": [(1,) * 5, (1, 1, 1, 1, -1)]}
+        return [(1,)] + extra[lie_type]
+    shapes = [(), (1,), (1,) * n]
+    if n >= 2:
+        shapes += [(2, 1), (2,) * n]
+        if lie_type == "d":
+            shapes += [(1,) * (n - 1) + (-1,), (2,) * (n - 1) + (-1,)]
+    return shapes
+
+
+def test_sigma_char_matches_the_padded_determinant(monkeypatch):
+    cases = [
+        (lie, n, shape)
+        for lie in "bcd"
+        for n in range(2 if lie == "d" else 1, 6)
+        for shape in _reference_shapes(lie, n)
+    ]
+    fast = [sigma_char(shape, lie, n) for lie, n, shape in cases]
+    monkeypatch.setattr(symfunc, "_sigma_det", padded_sigma_det)
+    for (lie, n, shape), got in zip(cases, fast):
+        assert got == sigma_char(shape, lie, n), (lie, n, shape)
+
+
+def test_padded_rows_of_the_rank_n_matrix_are_unitriangular():
+    # rows i >= len(mu) are zero left of the diagonal and 1 on it, so the
+    # padded determinant is its leading len(mu) x len(mu) minor
+    for lie in "bcd":
+        for n in range(1, 5):
+            letters = pm_alphabet(lie, n)
+            for flavor in ("plain", "prime"):
+                for mu in [p for s in range(4) for p in partitions_of(s) if len(p) <= n]:
+                    padded = tuple(mu) + (0,) * (n - len(mu))
+                    matrix = symfunc._reflected_matrix(
+                        [padded[i] - i for i in range(n)],
+                        lambda r: elementary_variant(r, flavor, letters, n),
+                    )
+                    for i in range(len(mu), n):
+                        assert all(matrix[i][j].is_zero() for j in range(i))
+                        assert matrix[i][i] == LaurentPoly.one(n)
+
+
+def test_row_bounded_series_is_the_restricted_series():
+    cutoff = 8
+    for lie in "bcd":
+        for ell in (1, 2):
+            for shape in level_shapes(lie, ell, range(2 * ell * 2 + 1), 2):
+                # the type d half-sums halve inside; that must not raise
+                full = s_g_series(shape, cutoff)
+                for n in range(1, 5):
+                    bounded = s_g_series(shape, cutoff, rows=n)
+                    assert bounded.rows == n
+                    assert bounded == full.restrict(n), (shape, n)
+
+
+def test_row_bound_mechanics():
+    f = cap_e(1, 6)
+    g = f.restrict(2)
+    assert g.rows == 2 and f.rows is None
+    assert all(len(lam) <= 2 for lam in g.coeffs)
+    assert g.restrict(1) == f.restrict(1)
+    assert g.truncate(4).rows == 2
+    assert g.with_t_power(1).rows == 2
+    assert g.homogeneous(3).rows == 2
+    bounded = SchurSeries(6, {(1, 1, 1): 1, (1,): 2}, rows=2)
+    assert bounded == schur_basis((1,), 6).scale(2).restrict(2)
+    with pytest.raises(CutoffMismatchError):
+        g.restrict(3)
+    for bad in (-1, 2.0, "2"):
+        with pytest.raises(ValueError):
+            f.restrict(bad)
+        with pytest.raises(ValueError):
+            SchurSeries(6, {(1,): 1}, rows=bad)
+    # bounded and unbounded series never mix, nor do different bounds
+    for a, b in ((f, g), (g, f), (g, f.restrict(3))):
+        with pytest.raises(CutoffMismatchError):
+            a + b
+        with pytest.raises(CutoffMismatchError):
+            a * b
+    # products stay inside the bound
+    assert g * g == (f * f).restrict(2)
+
+
+def test_row_bound_json():
+    g = s_g_series(DominantShape("d", (1,), 2), 6, rows=2)
+    data = g.to_json()
+    assert data["rows"] == 2
+    assert SchurSeries.from_json(data) == g
+    assert SchurSeries.from_json(json.loads(json.dumps(data))) == g
+    # unbounded output is as before: no rows key, same bytes
+    assert json.dumps(cap_e(1, 3).to_json()) == (
+        '{"cutoff": 3, "t_power": 0, "terms": [{"partition": [1], "coeff": 1}, '
+        '{"partition": [1, 1, 1], "coeff": 1}, {"partition": [2, 1], "coeff": 1}]}'
+    )
+    assert SchurSeries.from_json(cap_e(1, 3).to_json()).rows is None
+
+
+def test_laurent_specialize_rejects_a_too_narrow_series():
+    shape = DominantShape("c", (1,), 1)
+    full = s_g_series(shape, 8).with_t_power(1)
+    for n in (1, 2, 3):
+        want = laurent_specialize(full, n)
+        assert laurent_specialize(full.restrict(n), n) == want
+        assert laurent_specialize(full.restrict(n + 1), n) == want
+        if n > 1:
+            with pytest.raises(ValueError):
+                laurent_specialize(full.restrict(n - 1), n)
