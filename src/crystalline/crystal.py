@@ -480,29 +480,41 @@ def build_graph(
     seed: "KNTableau | CrystalElement",
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> CrystalGraph:
-    """Breadth-first closure of the seed under all operators."""
+    """The connected component of the seed, with each arrow found once.
+
+    The seed walks up through raising operators to the source of its
+    component (a component of these crystals has exactly one), and the
+    graph is then the breadth-first closure of the source under the
+    lowering operators.  Every arrow is found from its tail, the arrows of
+    the walk up are reused, and each operator output is checked once.
+    """
     start = as_element(seed)
     lie_type, n = start.lie_type, start.rank
-    seen = {start}
-    frontier = [start]
     arrows: dict[tuple[CrystalElement, int], CrystalElement] = {}
+    source = start
+    while True:
+        sig = _signatures(source.word(), lie_type, n)
+        i = next((i for i, pos in enumerate(sig[2]) if pos is not None), None)
+        if i is None:
+            break
+        up = source._apply("e", i, sig)
+        arrows[(up, i)] = source
+        source = up
+    seen = {source}
+    frontier = [source]
     while frontier:
         new: list[CrystalElement] = []
         for v in frontier:
             sig = _signatures(v.word(), lie_type, n)
-            for i in range(n):
-                down = v._apply("f", i, sig)
-                if down is not None:
-                    arrows[(v, i)] = down
-                    if down not in seen:
-                        seen.add(down)
-                        new.append(down)
-                up = v._apply("e", i, sig)
-                if up is not None:
-                    arrows[(up, i)] = v
-                    if up not in seen:
-                        seen.add(up)
-                        new.append(up)
+            for i, pos in enumerate(sig[3]):
+                if pos is None:
+                    continue
+                down = arrows.get((v, i))
+                if down is None:
+                    down = arrows[(v, i)] = v._apply("f", i, sig)
+                if down not in seen:
+                    seen.add(down)
+                    new.append(down)
             if len(seen) > max_vertices:
                 raise ResourceCapError(
                     f"crystal graph exceeded {max_vertices} vertices"

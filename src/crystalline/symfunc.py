@@ -19,7 +19,7 @@ x_{n+1} = x_{n+2} = ... = 0 and converts each power of t into
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
@@ -694,42 +694,42 @@ _SSYT_CACHE: dict[tuple[Partition, int], LaurentPoly] = {}
 
 
 def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
-    """s_lam(x_1..x_n) by semistandard tableau enumeration, memoized.
+    """s_lam(x_1..x_n) by the branching rule, memoized.
 
-    The polynomial is immutable, so every call shares the cached value.
+    Removing the cells that hold n from a semistandard tableau of shape lam
+    leaves one of shape mu, where mu interlaces lam (lam_{i+1} <= mu_i <=
+    lam_i); so s_lam(x_1..x_n) is the sum over those mu of
+    s_mu(x_1..x_{n-1}) x_n^{|lam|-|mu|} (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.5).  s_lam is 0 when lam has more than n rows and 1
+    for the empty shape.  Every s_mu met on the way is a cache entry of its
+    own; the polynomials are immutable, so every call shares them.
     """
-    key = (make_partition(lam), n)
-    if key not in _SSYT_CACHE:
-        _SSYT_CACHE[key] = LaurentPoly._trusted((n,), _ssyt_terms(*key))
-    return _SSYT_CACHE[key]
+    return _schur_poly(make_partition(lam), n)
 
 
-def _ssyt_terms(lam: Partition, n: int) -> dict[tuple, int]:
-    terms: dict[tuple, int] = {}
+def _schur_poly(lam: Partition, n: int) -> LaurentPoly:
+    key = (lam, n)
+    poly = _SSYT_CACHE.get(key)
+    if poly is None:
+        poly = _SSYT_CACHE[key] = LaurentPoly._trusted((n,), _branching_terms(lam, n))
+    return poly
+
+
+def _branching_terms(lam: Partition, n: int) -> dict[tuple, int]:
     if len(lam) > n:
-        return terms
-    rows = [[0] * p for p in lam]
-
-    def fill(r: int, c: int, counts: list[int]) -> None:
-        if r == len(lam):
-            exp = tuple(counts)
-            terms[exp] = terms.get(exp, 0) + 1
-            return
-        if c == lam[r]:
-            fill(r + 1, 0, counts)
-            return
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, n + 1):
-            rows[r][c] = v
-            counts[v - 1] += 1
-            fill(r, c + 1, counts)
-            counts[v - 1] -= 1
-
-    fill(0, 0, [0] * n)
+        return {}
+    if n == 0:
+        return {(): 1}
+    padded = lam + (0,) * (n - len(lam))
+    size = sum(lam)
+    terms: dict[tuple, int] = {}
+    # mu_i runs over [lam_{i+1}, lam_i] for i < n - 1, so mu has at most n-1 rows
+    for mu in product(*map(range, padded[1:], [p + 1 for p in padded[:-1]])):
+        mu = tuple(p for p in mu if p)
+        last = (size - sum(mu),)
+        for exp, c in _schur_poly(mu, n - 1).terms.items():
+            exp += last
+            terms[exp] = terms.get(exp, 0) + c
     return terms
 
 

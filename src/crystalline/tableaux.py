@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -797,42 +798,112 @@ def residue(T: SpinorColumnPair) -> int:
     raise AssertionError("the zero slide is semistandard by construction")
 
 
+def _column_code(column: Sequence[int]) -> int:
+    """A column's content packed one byte per letter: letter x adds
+    256**(x-1).  Letters are distinct in a column, so two codes add without
+    a carry and the bytes of the sum are the pair's entry counts."""
+    return sum(1 << 8 * (x - 1) for x in column)
+
+
+def _frame_walk(
+    a: int, b: int, c: int, max_entry: int, depth: int
+) -> Iterator[tuple[list[tuple[int, ...]], list[list[tuple]]]]:
+    """The fillings of the (a, b, c) frame with entries in 1..max_entry,
+    split by residue up to ``depth`` (at most min(a, b)).
+
+    The slide tests read only the first c+depth entries of a left column and
+    the last c+depth of a right one, so both sides go in runs that share
+    them.  Per left run (consecutive in combination order) this yields the
+    run and its buckets: bucket k < depth holds the right runs of residue k,
+    bucket ``depth`` those of residue at least ``depth``.  A right run is
+    (tails, columns, codes), tails[k] being what the slide by k sets against
+    the left column.  Feasibility is monotone in the slide, so each bucket is
+    split off the survivors of the slide before.
+    """
+    if a + c > max_entry or b + c > max_entry:
+        return
+    reach = c + depth
+    entries = range(1, max_entry + 1)
+    runs: dict[tuple[int, ...], tuple[list, list]] = {}
+    for right in itertools.combinations(entries, b + c):
+        columns, codes = runs.setdefault(right[b - depth :], ([], []))
+        columns.append(right)
+        codes.append(_column_code(right))
+    rights = [
+        (tuple(tail[depth - k :] for k in range(depth + 1)), columns, codes)
+        for tail, (columns, codes) in runs.items()
+    ]
+    le = operator.le
+    for head in itertools.combinations(entries, reach):
+        after = range(head[-1] + 1 if head else 1, max_entry + 1)
+        lefts = [head + rest for rest in itertools.combinations(after, a + c - reach)]
+        if not lefts:
+            continue
+        top = head[:c]
+        level = [run for run in rights if all(map(le, top, run[0][0]))]
+        buckets = []
+        for k in range(1, depth + 1):
+            top = head[: c + k]
+            slid: list[tuple] = []
+            stuck: list[tuple] = []
+            for run in level:
+                (slid if all(map(le, top, run[0][k])) else stuck).append(run)
+            buckets.append(stuck)
+            level = slid
+        buckets.append(level)
+        yield lefts, buckets
+
+
 def _sst_pairs(
     a: int, b: int, c: int, max_entry: int, max_residue: int | None = None
 ) -> list[SpinorColumnPair]:
     """The fillings of the (a, b, c) frame with entries in 1..max_entry, in
     (left, right) order; with max_residue, only those of residue at most it.
 
-    Slide feasibility is monotone in the slide, so residue <= r exactly when
-    r >= min(a, b) or the slide by r+1 fails; a pair is rejected on that
-    test before it is built.
+    Residue at most r < min(a, b) means the slide by r+1 fails, so the walk
+    goes to depth r+1 and its last bucket is dropped before any pair is
+    built.
     """
-    if a + c > max_entry or b + c > max_entry:
-        return []
-    entries = range(1, max_entry + 1)
-    k = None
+    depth, keep = 0, 1
     if max_residue is not None and max_residue < min(a, b):
-        k = max_residue + 1
-    # right[b:] meets the left column at the zero slide, right[b-k:] at slide k
-    rights = [
-        (right, right[b:], right[b - k :] if k else ())
-        for right in itertools.combinations(entries, b + c)
-    ]
-    le, make = operator.le, SpinorColumnPair._trusted
+        depth = keep = max_residue + 1
+    make = SpinorColumnPair._trusted
     out: list[SpinorColumnPair] = []
-    for left in itertools.combinations(entries, a + c):
-        top = left[:c]
-        if k is None:
-            kept = [right for right, mid, _ in rights if all(map(le, top, mid))]
-        else:
-            reach = left[: c + k]
-            kept = [
-                right
-                for right, mid, slid in rights
-                if all(map(le, top, mid)) and not all(map(le, reach, slid))
-            ]
-        out.extend([make(a, b, c, left, right) for right in kept])
+    for lefts, buckets in _frame_walk(a, b, c, max_entry, depth):
+        kept = sorted(
+            itertools.chain.from_iterable(
+                run[1] for bucket in buckets[:keep] for run in bucket
+            )
+        )
+        out.extend([make(a, b, c, left, right) for left in lefts for right in kept])
     return out
+
+
+def _frame_strata(
+    a: int, b: int, c: int, m: int
+) -> dict[int, dict[tuple[int, ...], int]]:
+    """The entry counts of the (a, b, c) frame's fillings with entries in
+    1..m, by residue: {residue: {counts of 1..m: number of fillings}}, with
+    only the residues that occur.  Builds no pair; each distinct content is
+    decoded once."""
+    depth = min(a, b)
+    tallies = [Counter() for _ in range(depth + 1)]
+    for lefts, buckets in _frame_walk(a, b, c, m, depth):
+        codes = [_column_code(left) for left in lefts]
+        for tally, bucket in zip(tallies, buckets):
+            if bucket:
+                tally.update([x + y for run in bucket for y in run[2] for x in codes])
+    decoded: dict[int, tuple[int, ...]] = {}
+    strata = {}
+    for k, tally in enumerate(tallies):
+        if tally:
+            stratum = strata[k] = {}
+            for code, count in tally.items():
+                exp = decoded.get(code)
+                if exp is None:
+                    exp = decoded[code] = tuple(code.to_bytes(m, "little"))
+                stratum[exp] = count
+    return strata
 
 
 def enumerate_sst_pairs(

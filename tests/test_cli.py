@@ -9,9 +9,12 @@ import sys
 import pytest
 
 import crystalline
+from crystalline import cli
 from crystalline.cli import main
 from crystalline.crystal import build_graph
-from crystalline.tableaux import t_lambda
+from crystalline.symfunc import LaurentPoly
+from crystalline.tableaux import enumerate_sst_pairs, residue, t_lambda
+from crystalline.weights import conjugate
 
 
 def run(capsys, *argv):
@@ -177,6 +180,50 @@ def test_verify_reports_honest_failure(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "1 failed" in out.strip().split("\n")[-1]
+
+
+def test_residue_character_reports_a_wrong_stratum(capsys, monkeypatch):
+    real = cli.schur_poly
+    wrong = conjugate((1 + 2 + 1 - 1, 1 + 1))  # a=1 b=2 c=1, residue 1
+
+    def skewed(lam, n):
+        poly = real(lam, n)
+        return poly + LaurentPoly.one(n) if tuple(lam) == wrong else poly
+
+    monkeypatch.setattr(cli, "schur_poly", skewed)
+    code, out, _ = run(
+        capsys, "verify", "residue-character", "--a", "1", "--b", "1..2", "--c", "1",
+    )
+    fillings = sum(
+        1 for T in enumerate_sst_pairs(1, 2, 1, 5) if residue(T) == 1
+    )
+    assert code == 1
+    assert out.split("\n") == [
+        "PASS residue-character frame a=1 b=1 c=1",
+        "FAIL residue-character frame a=1 b=2 c=1: "
+        f"stratum 1 has {fillings} fillings",
+        "2 instances: 1 passed, 1 failed",
+        "",
+    ]
+
+
+def test_residue_character_reports_a_missing_residue(capsys, monkeypatch):
+    real = cli._frame_strata
+
+    def without_one(a, b, c, m):
+        return {k: v for k, v in real(a, b, c, m).items() if k != 1}
+
+    monkeypatch.setattr(cli, "_frame_strata", without_one)
+    code, out, _ = run(
+        capsys, "verify", "residue-character", "--a", "0..1", "--b", "1", "--c", "1",
+    )
+    assert code == 1
+    assert out.split("\n") == [
+        "PASS residue-character frame a=0 b=1 c=1",
+        "FAIL residue-character frame a=1 b=1 c=1: residue support [0]",
+        "2 instances: 1 passed, 1 failed",
+        "",
+    ]
 
 
 def test_verify_caps(capsys):

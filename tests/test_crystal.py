@@ -431,6 +431,72 @@ def test_graph_vertex_cap():
         build_graph(t_lambda((2, 2), "c", 3), max_vertices=5)
 
 
+def both_ends_closure(seed):
+    """Oracle: the component of the seed found breadth first under every
+    e_i and f_i, each arrow recorded from whichever end meets it."""
+    start = crystal.as_element(seed)
+    seen, frontier, arrows = {start}, [start], {}
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(start.rank):
+                down, up = v.op("f", i), v.op("e", i)
+                if down is not None:
+                    arrows[(v, i)] = down
+                if up is not None:
+                    arrows[(up, i)] = v
+                for u in (down, up):
+                    if u is not None and u not in seen:
+                        seen.add(u)
+                        new.append(u)
+        frontier = new
+    return seen, arrows
+
+
+def graph_seeds():
+    """Seeds over b/c/d at ranks up to 4: the top filling of small shapes,
+    a vertex that is neither source nor top, and a two-factor element."""
+    for lie_type in "bcd":
+        for n in range(2 if lie_type == "d" else 1, 5):
+            for shape in sweep_shapes(lie_type, n, 2):
+                yield t_lambda(shape, lie_type, n)
+            middle = enumerate_kn((2, 1) if n > 1 else (2,), lie_type, n)
+            yield middle[len(middle) // 2]
+            letters = enumerate_kn((1,), lie_type, n)
+            yield CrystalElement((letters[-1], letters[1]))
+
+
+def test_graph_arrows_equal_the_both_ends_closure():
+    seeds = list(graph_seeds())
+    assert any(len(crystal.as_element(seed).factors) == 2 for seed in seeds)
+    for seed in seeds:
+        graph = build_graph(seed)
+        seen, arrows = both_ends_closure(seed)
+        assert set(graph.vertices) == seen, seed
+        assert dict(graph.arrows) == arrows, seed
+        assert crystal.as_element(seed) in seen
+
+
+def test_graph_checks_each_arrow_once(monkeypatch):
+    calls = []
+
+    def counting(T):
+        calls.append(T)
+        return kn_validate(T)
+
+    monkeypatch.setattr(crystal, "kn_validate", counting)
+    singles = enumerate_kn((1,), "c", 3)
+    middle = enumerate_kn((2, 1), "b", 3)
+    for seed in [
+        t_lambda((2, 2, 1), "c", 3),
+        middle[len(middle) // 2],
+        CrystalElement((singles[2], singles[4])),
+    ]:
+        calls.clear()
+        graph = build_graph(seed)
+        assert len(calls) == graph.arrow_count() > 0, seed
+
+
 def test_dot_output_is_deterministic():
     g = build_graph(t_lambda((1,), "c", 2))
     dot = g.to_dot()

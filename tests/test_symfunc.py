@@ -462,6 +462,64 @@ def test_schur_poly_values():
     assert schur_poly((2, 1), 3).at_ones() == 8
 
 
+def ssyt_terms(lam, n) -> dict:
+    """Oracle: the exponent vectors of every semistandard tableau of shape
+    lam with entries in 1..n, counted by listing the tableaux."""
+    terms: dict = {}
+    if len(lam) > n:
+        return terms
+    rows = [[0] * p for p in lam]
+
+    def fill(r: int, c: int, counts: list) -> None:
+        if r == len(lam):
+            exp = tuple(counts)
+            terms[exp] = terms.get(exp, 0) + 1
+            return
+        if c == lam[r]:
+            fill(r + 1, 0, counts)
+            return
+        lo = 1
+        if c > 0:
+            lo = max(lo, rows[r][c - 1])
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for v in range(lo, n + 1):
+            rows[r][c] = v
+            counts[v - 1] += 1
+            fill(r, c + 1, counts)
+            counts[v - 1] -= 1
+
+    fill(0, 0, [0] * n)
+    return terms
+
+
+def test_branching_schur_poly_matches_tableau_listing():
+    symfunc._SSYT_CACHE.clear()
+    checked = 0
+    for n in range(0, 7):
+        for size in range(0, 9):
+            for lam in partitions_of(size):
+                got = schur_poly(lam, n)
+                assert got.nvars == n
+                assert dict(got.terms) == ssyt_terms(lam, n), (lam, n)
+                checked += 1
+    assert checked == 7 * 67
+    assert schur_poly((), 0) == LaurentPoly.one(0)
+    assert schur_poly((), 4) == LaurentPoly.one(4)
+    assert schur_poly((1, 1, 1), 2) == LaurentPoly.zero(2)
+    assert schur_poly((1,), 0) == LaurentPoly.zero(0)
+
+
+def test_branching_schur_poly_caches_its_intermediate_shapes():
+    symfunc._SSYT_CACHE.clear()
+    top = schur_poly((2, 1), 3)
+    # the cells holding 3 come off (2, 1) leaving the shapes interlacing it
+    below = {lam for lam, n in symfunc._SSYT_CACHE if n == 2}
+    assert {(2, 1), (2,), (1, 1), (1,)} <= below
+    assert schur_poly([2, 1, 0], 3) is top
+    assert symfunc._SSYT_CACHE[((1,), 1)] == LaurentPoly.monomial(1, (1,))
+
+
 def test_laurent_specialize_basics():
     assert laurent_specialize(e_series(1, 4), 2).terms == {(1, 0): 1, (0, 1): 1}
     f = laurent_specialize(cap_e(0, 2).with_t_power(1), 1)

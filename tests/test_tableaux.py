@@ -17,6 +17,7 @@ from crystalline.symfunc import (
 )
 from crystalline.tableaux import (
     _frame_grid,
+    _frame_strata,
     _max_residue,
     _sst_pairs,
     KNTableau,
@@ -992,6 +993,28 @@ def test_residue_strata_partition_and_characters():
                     )
                     lam = conjugate((a + b + c - k, c + k))
                     assert got == schur_poly(lam, m), (a, b, c, k)
+
+
+def test_frame_strata_count_the_built_pairs():
+    for a, b, c in itertools.product(range(4), repeat=3):
+        for m in range(0, 8):
+            want: dict = {}
+            for T in enumerate_sst_pairs(a, b, c, m):
+                stratum = want.setdefault(residue(T), {})
+                exp = T.entry_counts(m)
+                stratum[exp] = stratum.get(exp, 0) + 1
+            assert _frame_strata(a, b, c, m) == want, (a, b, c, m)
+
+
+def test_frame_strata_examples():
+    # (1,1,0) at entries 1..2: left 2 over right 1 cannot slide, the others can
+    assert _frame_strata(1, 1, 0, 2) == {
+        0: {(1, 1): 1},
+        1: {(2, 0): 1, (1, 1): 1, (0, 2): 1},
+    }
+    assert _frame_strata(0, 0, 0, 3) == {0: {(0, 0, 0): 1}}
+    # a column longer than the alphabet leaves no filling
+    assert _frame_strata(2, 0, 1, 2) == {}
 
 
 def test_pruned_frames_match_the_residue_filter():
