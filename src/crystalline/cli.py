@@ -10,8 +10,9 @@ Four subcommands:
   the basis expansion, or the normal form in the rewriting algebra.
 
 Every command is deterministic byte for byte for fixed flags.  Exit codes:
-0 success, 2 argument or parse problem (including unknown identity names),
-3 a resource cap was hit.
+0 success, 1 a ``verify`` instance failed, 2 argument or parse problem
+(including unknown identity names and an ``--output`` that cannot be
+written), 3 a resource cap was hit.
 """
 
 import argparse
@@ -65,6 +66,13 @@ EXIT_CAP = 3
 
 DEFAULT_MAX_DEGREE = 10
 DEFAULT_MAX_RANK = 6
+
+# The --max-<cap> flags: default and help text.
+CAPS = {
+    "vertices": (DEFAULT_MAX_VERTICES, "cap on enumerated objects (default 1000000)"),
+    "degree": (DEFAULT_MAX_DEGREE, "cap on series degrees (default 10)"),
+    "rank": (DEFAULT_MAX_RANK, "cap on ranks (default 6)"),
+}
 
 
 class CliError(ValueError):
@@ -122,17 +130,24 @@ def check_type(value: str) -> str:
     return value
 
 
-def check_rank(rank: int, minimum: int = 1) -> None:
+def check_rank(rank: int, minimum: int = 1, cap: int | None = None) -> None:
+    """A rank below the minimum is a usage error, one above the cap a
+    resource cap."""
     if rank < minimum:
         raise CliError(f"--rank must be at least {minimum}, not {rank}")
+    if cap is not None and rank > cap:
+        raise ResourceCapError(f"rank {rank} exceeds --max-rank {cap}")
 
 
 def emit(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -153,9 +168,7 @@ def to_json_text(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     lie = check_type(args.type)
-    check_rank(args.rank)
-    if args.rank > args.max_rank:
-        raise ResourceCapError(f"rank {args.rank} exceeds --max-rank {args.max_rank}")
+    check_rank(args.rank, cap=args.max_rank)
     shape = parse_parts(args.shape)
     tableaux = enumerate_kn(shape, lie, args.rank, max_count=args.max_vertices)
     records = []
@@ -201,9 +214,7 @@ def cmd_enumerate(args) -> int:
 def cmd_graph(args) -> int:
     lie = check_type(args.type)
     # the type d letter crystal needs both middle arrows, so rank 2 or more
-    check_rank(args.rank, 2 if lie == "d" else 1)
-    if args.rank > args.max_rank:
-        raise ResourceCapError(f"rank {args.rank} exceeds --max-rank {args.max_rank}")
+    check_rank(args.rank, 2 if lie == "d" else 1, args.max_rank)
     shape = parse_parts(args.shape)
     seed = t_lambda(shape, lie, args.rank)
     graph = build_graph(seed, max_vertices=args.max_vertices)
@@ -578,33 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *caps):
+        """--output, and a --max-<cap> flag for each cap the command reads."""
         p.add_argument("--output", help="write to a file instead of stdout")
-        p.add_argument(
-            "--max-vertices",
-            type=int,
-            default=DEFAULT_MAX_VERTICES,
-            help="cap on enumerated objects (default 1000000)",
-        )
-        p.add_argument(
-            "--max-degree",
-            type=int,
-            default=DEFAULT_MAX_DEGREE,
-            help="cap on series degrees (default 10)",
-        )
-        p.add_argument(
-            "--max-rank",
-            type=int,
-            default=DEFAULT_MAX_RANK,
-            help="cap on ranks (default 6)",
-        )
+        for cap in caps:
+            default, text = CAPS[cap]
+            p.add_argument(f"--max-{cap}", type=int, default=default, help=text)
 
     p_enum = sub.add_parser("enumerate", help="list the fillings of a shape")
     p_enum.add_argument("--type", required=True, help="b, c, or d")
     p_enum.add_argument("--rank", type=int, required=True)
     p_enum.add_argument("--shape", required=True, help="comma-separated parts")
     p_enum.add_argument("--format", default="json", choices=["json", "csv"])
-    add_common(p_enum)
+    add_common(p_enum, "vertices", "rank")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_graph = sub.add_parser("graph", help="emit a crystal graph")
@@ -612,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--rank", type=int, required=True)
     p_graph.add_argument("--shape", required=True, help="comma-separated parts")
     p_graph.add_argument("--format", default="dot", choices=["dot", "json", "csv"])
-    add_common(p_graph)
+    add_common(p_graph, "vertices", "rank")
     p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
@@ -629,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--shape-ell", type=int, help="level for the single jt-character shape"
     )
-    add_common(p_verify)
+    add_common(p_verify, "vertices", "degree", "rank")
     p_verify.set_defaults(func=cmd_verify)
 
     p_groth = sub.add_parser("groth", help="multiply in the class ring")
@@ -647,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exactness window for infinite products",
     )
     p_groth.add_argument("--format", default="text", choices=["text", "json"])
-    add_common(p_groth)
+    add_common(p_groth, "degree")
     p_groth.set_defaults(func=cmd_groth)
 
     return parser

@@ -45,6 +45,7 @@ from crystalline.tableaux import (
     alphabet,
     kn_validate,
     normalize_shape,
+    word_weight,
 )
 from crystalline.weights import (
     DominantShape,
@@ -96,83 +97,68 @@ def _check_index(i: int, n: int) -> None:
 # single letters
 
 
-@lru_cache(maxsize=None)
-def _letter_arrows(lie_type: str, n: int) -> dict[tuple[int, int], int]:
-    """Lowering arrows of the single-box crystal: (letter, index) -> letter."""
+def _letter_strings(lie_type: str, n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The i-strings of the single-box crystal: (i, its letters in lowering
+    order) per string.  Every other letter table is read off these."""
     check_lie_type(lie_type)
     if n < 1 or (lie_type == "d" and n < 2):
         raise ValueError(f"rank {n} too small for type {lie_type}")
-    arrows: dict[tuple[int, int], int] = {}
     lo = 2 if lie_type == "d" else 1
-    for k in range(lo, n):
-        arrows[(k, k)] = k + 1
-        arrows[(-(k + 1), k)] = -k
+    strings = [(k, s) for k in range(lo, n) for s in ((k, k + 1), (-(k + 1), -k))]
     if lie_type == "c":
-        arrows[(-1, 0)] = 1
+        strings.append((0, (-1, 1)))
     elif lie_type == "b":
-        arrows[(-1, 0)] = 0
-        arrows[(0, 0)] = 1
+        strings.append((0, (-1, 0, 1)))
     else:
-        arrows[(-2, 0)] = 1
-        arrows[(-1, 0)] = 2
-        arrows[(-2, 1)] = -1
-        arrows[(1, 1)] = 2
-    return arrows
+        strings += [(0, (-2, 1)), (0, (-1, 2)), (1, (-2, -1)), (1, (1, 2))]
+    return tuple(strings)
 
 
 @lru_cache(maxsize=None)
-def _letter_arrows_reversed(lie_type: str, n: int) -> dict[tuple[int, int], int]:
-    return {(y, i): x for (x, i), y in _letter_arrows(lie_type, n).items()}
+def _letter_steps(lie_type: str, n: int) -> dict[tuple[str, int, int], int]:
+    """(op, letter, i) -> the letter that e_i ("e") or f_i ("f") moves it to."""
+    steps = {}
+    for i, string in _letter_strings(lie_type, n):
+        for x, y in zip(string, string[1:]):
+            steps["f", x, i] = y
+            steps["e", y, i] = x
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _letter_moves(lie_type: str, n: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
+    """Per letter, (i, eps_i, phi_i) for each i-string through it, by i: its
+    distance from either end of the string.  A letter lies on the strings of
+    at most three indices."""
+    moves: dict[int, list] = {x: [] for x in alphabet(lie_type, n)}
+    for i, string in _letter_strings(lie_type, n):
+        for eps, x in enumerate(string):
+            moves[x].append((i, eps, len(string) - 1 - eps))
+    return {x: tuple(sorted(m)) for x, m in moves.items()}
 
 
 def letter_f(x: int, i: int, lie_type: str, n: int) -> int | None:
     """Lowering operator on a single letter, or None."""
     _check_index(i, n)
-    return _letter_arrows(lie_type, n).get((x, i))
+    return _letter_steps(lie_type, n).get(("f", x, i))
 
 
 def letter_e(x: int, i: int, lie_type: str, n: int) -> int | None:
     """Raising operator on a single letter, or None."""
     _check_index(i, n)
-    return _letter_arrows_reversed(lie_type, n).get((x, i))
+    return _letter_steps(lie_type, n).get(("e", x, i))
 
 
 def letter_eps(x: int, i: int, lie_type: str, n: int) -> int:
     """Length of the raising string from the letter."""
-    k = 0
-    y: int | None = x
-    while True:
-        y = letter_e(y, i, lie_type, n)
-        if y is None:
-            return k
-        k += 1
+    _check_index(i, n)
+    return next((e for j, e, _ in _letter_moves(lie_type, n).get(x, ()) if j == i), 0)
 
 
 def letter_phi(x: int, i: int, lie_type: str, n: int) -> int:
     """Length of the lowering string from the letter."""
-    k = 0
-    y: int | None = x
-    while True:
-        y = letter_f(y, i, lie_type, n)
-        if y is None:
-            return k
-        k += 1
-
-
-@lru_cache(maxsize=None)
-def _letter_moves(
-    lie_type: str, n: int
-) -> dict[int, tuple[tuple[int, int, int], ...]]:
-    """Per letter, (i, eps_i, phi_i) for each index i whose string passes
-    through it; a letter lies on the strings of at most three indices."""
-    moves = {}
-    for x in alphabet(lie_type, n):
-        strings = [
-            (i, letter_eps(x, i, lie_type, n), letter_phi(x, i, lie_type, n))
-            for i in range(n)
-        ]
-        moves[x] = tuple(s for s in strings if s[1] or s[2])
-    return moves
+    _check_index(i, n)
+    return next((f for j, _, f in _letter_moves(lie_type, n).get(x, ()) if j == i), 0)
 
 
 def simple_root(i: int, lie_type: str) -> Weight:
@@ -239,17 +225,24 @@ def word_phi(word: Sequence[int], i: int, lie_type: str, n: int) -> int:
     return _signatures(word, lie_type, n)[1][i]
 
 
+def _step(
+    word: Sequence[int], pos: int | None, op: str, i: int, lie_type: str, n: int
+) -> tuple[int, ...] | None:
+    """The word with e_i ("e") or f_i ("f") applied to its letter at
+    ``pos``, the position the signature rule selected; None for no position."""
+    if pos is None:
+        return None
+    out = list(word)
+    out[pos] = _letter_steps(lie_type, n)[op, out[pos], i]
+    return tuple(out)
+
+
 def tensor_f(
     word: Sequence[int], i: int, lie_type: str, n: int
 ) -> tuple[int, ...] | None:
     """Lower the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    pos = _signatures(word, lie_type, n)[3][i]
-    if pos is None:
-        return None
-    out = list(word)
-    out[pos] = letter_f(out[pos], i, lie_type, n)
-    return tuple(out)
+    return _step(word, _signatures(word, lie_type, n)[3][i], "f", i, lie_type, n)
 
 
 def tensor_e(
@@ -257,22 +250,7 @@ def tensor_e(
 ) -> tuple[int, ...] | None:
     """Raise the word at the position the signature rule selects, or None."""
     _check_index(i, n)
-    pos = _signatures(word, lie_type, n)[2][i]
-    if pos is None:
-        return None
-    out = list(word)
-    out[pos] = letter_e(out[pos], i, lie_type, n)
-    return tuple(out)
-
-
-def word_weight(word: Sequence[int], rank: int) -> Weight:
-    counts = [0] * rank
-    for x in word:
-        if x > 0:
-            counts[x - 1] += 1
-        elif x < 0:
-            counts[-x - 1] -= 1
-    return Weight(tuple(counts), 0)
+    return _step(word, _signatures(word, lie_type, n)[2][i], "e", i, lie_type, n)
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +328,7 @@ class CrystalElement:
         return self.factors[0].rank
 
     def weight(self) -> Weight:
-        total = Weight()
-        for T in self.factors:
-            total = total + T.weight()
-        return total
+        return word_weight(self.word(), self.rank)
 
     def word(self) -> tuple[int, ...]:
         return tuple(
@@ -387,11 +362,8 @@ class CrystalElement:
             pos -= len(positions)
         lie_type, n, rows = T.lie_type, T.rank, T.rows
         r, c = positions[pos]
-        row = list(rows[r])
-        row[c] = (letter_f if op == "f" else letter_e)(row[c], i, lie_type, n)
-        out = KNTableau._trusted(
-            T.shape, rows[:r] + (tuple(row),) + rows[r + 1 :], lie_type, n
-        )
+        row = _step(rows[r], c, op, i, lie_type, n)
+        out = KNTableau._trusted(T.shape, rows[:r] + (row,) + rows[r + 1 :], lie_type, n)
         if not kn_validate(out):
             raise CrystalClosureError(T, op, i, out)
         return CrystalElement(factors[:k] + (out,) + factors[k + 1 :])
@@ -528,27 +500,17 @@ def build_graph(
 # highest-weight scans
 
 
-def _graph_tableaux(graph_or_seq) -> list[KNTableau]:
-    if isinstance(graph_or_seq, CrystalGraph):
-        out = []
-        for v in graph_or_seq.vertices:
-            if len(v.factors) != 1:
-                raise ValueError("highest-weight scans expect single-factor vertices")
-            out.append(v.factors[0])
-        return out
-    return list(graph_or_seq)
-
-
 def _raises_nothing(eps_y: Sequence[int], phi_x: Sequence[int]) -> bool:
     """Whether x (x) y is killed by every e_i, for x killed by every e_i:
     the signature rule then leaves only eps_i(y) - phi_i(x) minus signs."""
     return all(map(operator.le, eps_y, phi_x))
 
 
-def tensor_highest_weights(left, right) -> list[tuple[KNTableau, KNTableau]]:
+def tensor_highest_weights(
+    left: Iterable[KNTableau], right: Iterable[KNTableau]
+) -> list[tuple[KNTableau, KNTableau]]:
     """All pairs killed by every raising operator, in deterministic order."""
-    lefts = _graph_tableaux(left)
-    rights = _graph_tableaux(right)
+    lefts, rights = list(left), list(right)
     if not lefts or not rights:
         return []
     if lefts[0].lie_type != rights[0].lie_type or lefts[0].rank != rights[0].rank:
@@ -595,9 +557,6 @@ class StableComponent:
     def __str__(self) -> str:
         mu = ",".join(str(p) for p in self.mu) or "0"
         return f"[{mu} | {self.kappa}]"
-
-    def is_level_zero(self) -> bool:
-        return self.kappa.ell == 0 and not self.kappa.lam
 
 
 def window_to_component(
@@ -828,5 +787,5 @@ def _factor_component(factor: TensorFactor, lie_type: str) -> StableComponent:
 
 def letter_graph_edges(lie_type: str, n: int) -> tuple[tuple[int, int, int], ...]:
     """All (source letter, index, target letter) arrows of the one-box crystal."""
-    arrows = _letter_arrows(lie_type, n)
-    return tuple(sorted((x, i, y) for (x, i), y in arrows.items()))
+    strings = _letter_strings(lie_type, n)
+    return tuple(sorted((x, i, y) for i, s in strings for x, y in zip(s, s[1:])))

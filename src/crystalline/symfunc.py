@@ -30,6 +30,7 @@ from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
     Partition,
+    _transpose,
     check_lie_type,
     conjugate,
     make_partition,
@@ -73,14 +74,6 @@ def _lr_cheapest(lam: Partition, mu: Partition) -> dict[Partition, int]:
     if len(mu) > len(lam):
         lam, mu = mu, lam
     return _lr_fill(lam, mu)
-
-
-def _transpose(lam: Partition) -> Partition:
-    """Conjugate of a partition already known to be valid."""
-    cols: list[int] = []
-    for height in range(len(lam), 0, -1):
-        cols.extend([height] * (lam[height - 1] - len(cols)))
-    return tuple(cols)
 
 
 def _lr_fill(lam: Partition, mu: Partition) -> dict[Partition, int]:

@@ -74,6 +74,7 @@ __all__ = [
     "residue",
     "row_pair_ok",
     "t_lambda",
+    "word_weight",
 ]
 
 
@@ -91,6 +92,18 @@ def alphabet(lie_type: str, n: int) -> tuple[int, ...]:
         letters.append(0)
     letters.extend(range(1, n + 1))
     return tuple(letters)
+
+
+def word_weight(word: Iterable[int], rank: int) -> Weight:
+    """The rank-n weight of a word: coordinate k counts the letters k minus
+    the letters -k; the zero letter counts nowhere."""
+    counts = [0] * rank
+    for x in word:
+        if x > 0:
+            counts[x - 1] += 1
+        elif x < 0:
+            counts[-x - 1] -= 1
+    return Weight(tuple(counts), 0)
 
 
 def letter_ok(x: int, lie_type: str, n: int) -> bool:
@@ -267,14 +280,7 @@ class KNTableau:
         return bool(self.shape) and self.shape[-1] < 0
 
     def weight(self) -> Weight:
-        counts = [0] * self.rank
-        for row in self.rows:
-            for x in row:
-                if x > 0:
-                    counts[x - 1] += 1
-                elif x < 0:
-                    counts[-x - 1] -= 1
-        return Weight(tuple(counts), 0)
+        return word_weight(itertools.chain.from_iterable(self.rows), self.rank)
 
     def to_json(self) -> dict:
         colored = self.is_colored()

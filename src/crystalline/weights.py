@@ -95,10 +95,15 @@ def make_partition(parts: Sequence[int]) -> Partition:
 
 def conjugate(parts: Sequence[int]) -> Partition:
     """Transpose of a partition: column lengths of its diagram."""
-    lam = make_partition(parts)
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    return _transpose(make_partition(parts))
+
+
+def _transpose(lam: Partition) -> Partition:
+    """Conjugate of a partition already known to be valid."""
+    cols: list[int] = []
+    for height in range(len(lam), 0, -1):
+        cols.extend([height] * (lam[height - 1] - len(cols)))
+    return tuple(cols)
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main() with captured output."""
 
+import argparse
 import json
 import os
 import shlex
@@ -333,6 +334,11 @@ MALFORMED = [
     ("verify", "e-expansion", "--degree", "-3"),
     ("verify", "laurent-bridge", "--ell", "0"),
     ("verify", "laurent-bridge", "--lam", "-1"),
+    # an --output path under a missing directory cannot be written
+    ("enumerate", "--type", "c", "--rank", "2", "--shape", "1", "--output", "/nonexistent/x"),
+    ("graph", "--type", "c", "--rank", "2", "--shape", "1", "--output", "/nonexistent/x"),
+    ("verify", "e-expansion", "--type", "c", "--a", "0", "--output", "/nonexistent/x"),
+    ("groth", "h:1*z:1", "--output", "/nonexistent/x"),
 ]
 
 
@@ -349,6 +355,59 @@ def test_malformed_input_exits_2_with_one_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+def test_unwritable_output_names_the_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "groth", "h:1*z:1", "--output", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records which --max-* caps are read from it."""
+
+    def __getattribute__(self, name):
+        if name.startswith("max_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return super().__getattribute__(name)
+
+
+CAP_RUNS = {
+    "enumerate": [("enumerate", "--type", "c", "--rank", "2", "--shape", "1")],
+    "graph": [("graph", "--type", "c", "--rank", "2", "--shape", "1")],
+    "verify": [
+        ("verify", "jt-character", "--type", "c", "--shape", "1", "--rank", "2"),
+        ("verify", "e-expansion", "--type", "c", "--a", "0"),
+    ],
+    "groth": [("groth", "h:1*z:1", "--degree", "3")],
+}
+
+
+def test_each_subcommand_takes_exactly_the_caps_it_reads(capsys):
+    parser = cli.build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    taken = {
+        name: {a.dest for a in sub._actions if a.dest.startswith("max_")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert taken == {
+        "enumerate": {"max_vertices", "max_rank"},
+        "graph": {"max_vertices", "max_rank"},
+        "verify": {"max_vertices", "max_degree", "max_rank"},
+        "groth": {"max_degree"},
+    }
+    for name, runs in CAP_RUNS.items():
+        read = set()
+        for argv in runs:
+            args = parser.parse_args(argv, namespace=ReadRecorder())
+            vars(args).pop("_read", None)
+            assert args.func(args) == 0
+            read |= vars(args).pop("_read", set())
+        capsys.readouterr()
+        assert read == taken[name], name
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from crystalline.crystal import (
     word_weight,
 )
 from crystalline.symfunc import lr_expand, sigma_char
-from crystalline.tableaux import KNTableau, enumerate_kn, kn_validate, t_lambda
+from crystalline import tableaux
+from crystalline.tableaux import KNTableau, alphabet, enumerate_kn, kn_validate, t_lambda
 from crystalline.weights import (
     DominantShape,
     ResourceCapError,
@@ -141,6 +142,71 @@ def test_letter_operators_are_partial_inverses():
                 y = letter_e(x, i, lie_type, n)
                 if y is not None:
                     assert letter_f(y, i, lie_type, n) == x
+
+
+def reference_arrows(lie_type, n):
+    """The single-box crystal as a table of lowering arrows, (letter, i) ->
+    letter, written out arrow by arrow: the reference for the library's
+    table of i-strings."""
+    arrows = {}
+    lo = 2 if lie_type == "d" else 1
+    for k in range(lo, n):
+        arrows[(k, k)] = k + 1
+        arrows[(-(k + 1), k)] = -k
+    if lie_type == "c":
+        arrows[(-1, 0)] = 1
+    elif lie_type == "b":
+        arrows[(-1, 0)] = 0
+        arrows[(0, 0)] = 1
+    else:
+        arrows[(-2, 0)] = 1
+        arrows[(-1, 0)] = 2
+        arrows[(-2, 1)] = -1
+        arrows[(1, 1)] = 2
+    return arrows
+
+
+def walk_length(x, i, arrows):
+    """How many i-arrows of the table lead on from x, one after another."""
+    k = 0
+    while (x, i) in arrows:
+        x, k = arrows[(x, i)], k + 1
+    return k
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_letter_strings_match_the_arrow_table_and_string_walks(lie_type):
+    for n in range(2 if lie_type == "d" else 1, 7):
+        lowering = reference_arrows(lie_type, n)
+        raising = {(y, i): x for (x, i), y in lowering.items()}
+        assert letter_graph_edges(lie_type, n) == tuple(
+            sorted((x, i, y) for (x, i), y in lowering.items())
+        )
+        moves = {}
+        for x in alphabet(lie_type, n):
+            moves[x] = []
+            for i in range(n):
+                assert letter_f(x, i, lie_type, n) == lowering.get((x, i))
+                assert letter_e(x, i, lie_type, n) == raising.get((x, i))
+                eps, phi = walk_length(x, i, raising), walk_length(x, i, lowering)
+                assert letter_eps(x, i, lie_type, n) == eps, (x, i, n)
+                assert letter_phi(x, i, lie_type, n) == phi, (x, i, n)
+                if eps or phi:
+                    moves[x].append((i, eps, phi))
+        assert crystal._letter_moves(lie_type, n) == {
+            x: tuple(m) for x, m in moves.items()
+        }
+
+
+def test_letter_tables_reject_a_rank_too_small_for_the_type():
+    for op in (letter_f, letter_e, letter_eps, letter_phi):
+        with pytest.raises(ValueError):
+            op(1, 0, "d", 1)
+        with pytest.raises(IndexError):
+            op(1, 2, "c", 2)
+    with pytest.raises(ValueError):
+        letter_graph_edges("c", 0)
+    assert letter_eps(7, 0, "c", 2) == letter_phi(7, 0, "c", 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +609,19 @@ def factor_level_op(el, op, i):
     return CrystalElement(tuple(factors))
 
 
+def test_one_letter_count_weighs_words_tableaux_and_elements():
+    assert crystal.word_weight is tableaux.word_weight is crystalline.word_weight
+    for lie_type, n in [("c", 3), ("b", 3), ("d", 3)]:
+        for shape in [(1,), (2, 1), (1, 1, 1)]:
+            for T in enumerate_kn(shape, lie_type, n):
+                assert word_weight(reading_word(T), n) == T.weight()
+        for factors in element_families(lie_type, n):
+            total = Weight()
+            for T in factors:
+                total = total + T.weight()
+            assert CrystalElement(factors).weight() == total
+
+
 def test_element_operator_agrees_with_concatenated_word():
     for lie_type, n in [("c", 2), ("b", 2), ("d", 2), ("c", 3), ("b", 3), ("d", 3)]:
         acted = 0
@@ -575,6 +654,7 @@ def test_tensor_component_sizes_add_up():
         sizes.append(len(g))
     assert sorted(sizes) == [1, 5, 10]
     assert sum(sizes) == len(singles) ** 2
+    assert tensor_highest_weights(iter(singles), (T for T in singles)) == pairs
 
 
 def test_hw_decompose_includes_contracted_components():

@@ -106,6 +106,16 @@ def test_conjugate_involution():
         assert sum(conjugate(lam)) == sum(lam)
 
 
+def test_conjugate_is_the_column_lengths_and_validates():
+    for size in range(13):
+        for lam in partitions_of(size):
+            cols = tuple(sum(1 for p in lam if p >= j) for j in range(1, size + 1))
+            assert conjugate(lam) == weights._transpose(lam) == make_partition(cols)
+    assert conjugate((2, 1, 0, 0)) == (2, 1)
+    with pytest.raises(InvalidShapeError):
+        conjugate((1, 2))
+
+
 def test_partition_counts():
     assert len(list(partitions_of(5))) == 7
     assert len(list(partitions_of(10))) == 42
