@@ -8,12 +8,13 @@ ring of crystal classes together with its skew-polynomial realization.
 Everything is exact integer arithmetic; there are no floating-point paths.
 """
 
+import types as _types
+
 from crystalline.crystal import (
     CrystalClosureError,
     CrystalElement,
     CrystalGraph,
     StableComponent,
-    TensorFactor,
     as_element,
     build_graph,
     hw_decompose_tensor,
@@ -72,7 +73,6 @@ from crystalline.symfunc import (
     alternating_e_product,
     cap_e,
     cap_e_variant,
-    jt_determinant,
     laurent_specialize,
     lr_expand,
     monomials_to_schur,
@@ -115,103 +115,11 @@ from crystalline.weights import (
     truncation_shape,
 )
 
-__all__ = [
-    "AElement",
-    "AMonomial",
-    "CrystalClosureError",
-    "CrystalElement",
-    "CrystalGraph",
-    "DominantShape",
-    "GrothElement",
-    "InvalidShapeError",
-    "KNTableau",
-    "LaurentPoly",
-    "ResourceCapError",
-    "SchurSeries",
-    "SpinorColumnPair",
-    "StabilizationError",
-    "StableComponent",
-    "StructureCache",
-    "TensorFactor",
-    "Weight",
-    "a_h",
-    "a_hbar",
-    "a_normalize",
-    "a_one",
-    "a_z",
-    "alternating_e_product",
-    "as_element",
-    "barred_class",
-    "build_graph",
-    "cap_e",
-    "cap_e_variant",
-    "column_class",
-    "conjugate",
-    "decompose_weight",
-    "delta",
-    "dominant_weight",
-    "enumerate_kn",
-    "enumerate_spinor_columns",
-    "enumerate_spinor_columns_barred",
-    "fuse_zero_dominant",
-    "groth_basis",
-    "groth_mul",
-    "groth_one",
-    "hw_decompose_tensor",
-    "is_dominant",
-    "jt_determinant",
-    "kn_validate",
-    "kn_violations",
-    "laurent_specialize",
-    "letter_e",
-    "letter_eps",
-    "letter_f",
-    "letter_graph_edges",
-    "letter_phi",
-    "level",
-    "level_determinant",
-    "lr_expand",
-    "make_label",
-    "monomials_to_schur",
-    "mul_posi_posi",
-    "mul_posi_zero",
-    "mul_zero_posi",
-    "mul_zero_zero",
-    "n_admissible",
-    "orbit_representative",
-    "partitions_in_box",
-    "partitions_of",
-    "psi",
-    "psi_plus",
-    "psi_zero",
-    "reading_positions",
-    "reading_word",
-    "residue",
-    "row_class",
-    "s_g_series",
-    "schur_basis",
-    "schur_poly",
-    "shape_class",
-    "shape_of_weight",
-    "sigma_char",
-    "simple_root",
-    "spinor_char",
-    "spinor_char_barred",
-    "stabilized_decomposition",
-    "structure_constant",
-    "t_lambda",
-    "tableau_eps",
-    "tableau_op",
-    "tableau_phi",
-    "tensor_e",
-    "tensor_f",
-    "tensor_highest_weights",
-    "trivial_shape",
-    "truncation_shape",
-    "window_to_component",
-    "word_eps",
-    "word_phi",
-    "word_weight",
-]
+# The imports above are the one list of public names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)
 
 __version__ = "0.1.0"

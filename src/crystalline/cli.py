@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Callable, Sequence
 
@@ -41,6 +42,7 @@ from crystalline.symfunc import (
     LaurentPoly,
     alternating_e_product,
     cap_e,
+    cap_e_variant,
     laurent_specialize,
     s_g_series,
     schur_poly,
@@ -69,9 +71,9 @@ DEFAULT_MAX_RANK = 6
 
 # The --max-<cap> flags: default and help text.
 CAPS = {
-    "vertices": (DEFAULT_MAX_VERTICES, "cap on enumerated objects (default 1000000)"),
-    "degree": (DEFAULT_MAX_DEGREE, "cap on series degrees (default 10)"),
-    "rank": (DEFAULT_MAX_RANK, "cap on ranks (default 6)"),
+    "vertices": (DEFAULT_MAX_VERTICES, "cap on enumerated objects"),
+    "degree": (DEFAULT_MAX_DEGREE, "cap on series degrees"),
+    "rank": (DEFAULT_MAX_RANK, "cap on ranks"),
 }
 
 
@@ -139,15 +141,19 @@ def check_rank(rank: int, minimum: int = 1, cap: int | None = None) -> None:
         raise ResourceCapError(f"rank {rank} exceeds --max-rank {cap}")
 
 
+def _open_output(path: str, mode: str):
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def emit(text: str, path: str | None) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    with _open_output(path, "w") as fh:
+        fh.write(text)
 
 
 def rows_to_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
@@ -287,12 +293,10 @@ def suite_e_expansion(args) -> list[Instance]:
     cutoff = args.degree
     for lie in _types_from(args):
         for a in parse_range(args.a):
-            if lie == "c":
-                want = (cap_e(a, cutoff) - cap_e(a + 2, cutoff)).with_t_power(1)
-                ok = spinor_char(a, "c", cutoff) == want
-            elif lie == "b":
-                want = (cap_e(a, cutoff) + cap_e(a + 1, cutoff)).with_t_power(1)
-                ok = spinor_char(a, "b", cutoff) == want
+            if lie in ("b", "c"):
+                flavor = "prime" if lie == "c" else "second"
+                want = cap_e_variant(a, flavor, cutoff).with_t_power(1)
+                ok = spinor_char(a, lie, cutoff) == want
             elif a >= 1:
                 ok = spinor_char(a, "d", cutoff) == cap_e(a, cutoff).with_t_power(1)
             else:
@@ -594,6 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to a file instead of stdout")
         for cap in caps:
             default, text = CAPS[cap]
+            text += " (default %(default)s)"
             p.add_argument(f"--max-{cap}", type=int, default=default, help=text)
 
     p_enum = sub.add_parser("enumerate", help="list the fillings of a shape")
@@ -653,14 +658,27 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An --output path is opened for appending before the command runs, so
+    # an unwritable one fails at once and an existing file is not cut short;
+    # a file made here is removed again when the command fails.
+    made = False
     try:
-        return args.func(args)
+        if args.output:
+            new = not os.path.exists(args.output)
+            _open_output(args.output, "a").close()
+            made = new
+        code = args.func(args)
+        made = False
+        return code
     except (CliError, InvalidShapeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (ResourceCapError, StabilizationError) as exc:
         sys.stderr.write(f"resource cap: {exc}\n")
         return EXIT_CAP
+    finally:
+        if made:
+            os.remove(args.output)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 from crystalline.symfunc import LaurentPoly, lr_expand
 from crystalline.tableaux import (
+    DEFAULT_MAX_VERTICES,
     KNTableau,
     _column_fillings,
     _parity_ok,
@@ -60,8 +61,6 @@ from crystalline.weights import (
     trivial_shape,
     truncation_shape,
 )
-
-DEFAULT_MAX_VERTICES = 1_000_000
 
 
 class CrystalClosureError(AssertionError):
@@ -603,44 +602,6 @@ def _is_stable_window(
     return q >= zero_size
 
 
-@dataclass(frozen=True)
-class TensorFactor:
-    """One side of a stabilized tensor job: a partition or a dominant shape."""
-
-    mu: tuple[int, ...] = ()
-    kappa: DominantShape | None = None
-
-    def __post_init__(self) -> None:
-        if self.kappa is not None and self.mu:
-            raise ValueError("a tensor factor is either finite-support or dominant")
-        object.__setattr__(self, "mu", make_partition(self.mu))
-
-    @staticmethod
-    def zero(mu: Sequence[int]) -> "TensorFactor":
-        return TensorFactor(mu=tuple(mu))
-
-    @staticmethod
-    def dominant(kappa: DominantShape) -> "TensorFactor":
-        return TensorFactor(kappa=kappa)
-
-    def is_trivial(self) -> bool:
-        return self.kappa is None and not self.mu
-
-    def level_tail(self) -> int:
-        return 0 if self.kappa is None else -self.kappa.ell
-
-    def zero_size(self) -> int:
-        return sum(self.mu) if self.kappa is None else 0
-
-    def rank_model_shape(self, n: int) -> tuple[int, ...]:
-        if self.kappa is None:
-            return self.mu
-        return truncation_shape(self.kappa, n)
-
-    def parts(self) -> tuple[int, ...]:
-        return self.mu if self.kappa is None else self.kappa.lam
-
-
 def _model_source(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
     """The unique vertex killed by every raising operator, in closed form.
 
@@ -661,12 +622,23 @@ def _model_source(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
     return T
 
 
+def _tensor_side(label: StableComponent) -> StableComponent:
+    """A label as one side of a tensor job: ``mu`` checked to be a
+    partition, and either ``mu`` empty or ``kappa`` at level zero."""
+    mu = make_partition(label.mu)
+    if mu and label.kappa.ell:
+        raise ValueError("a tensor factor is either finite-support or dominant")
+    return StableComponent(mu, label.kappa)
+
+
+def _model_shape(side: StableComponent, n: int) -> tuple[int, ...]:
+    """The rank-n model of a tensor side: its partition, or the truncation
+    of its dominant shape when the partition is empty."""
+    return side.mu or truncation_shape(side.kappa, n)
+
+
 def _scan_at_rank(
-    left: TensorFactor,
-    right: TensorFactor,
-    lie_type: str,
-    n: int,
-    max_count: int,
+    left: StableComponent, right: StableComponent, n: int, max_count: int
 ) -> dict[StableComponent, int]:
     """Source weights of the rank-n model tensor, filtered and translated.
 
@@ -675,12 +647,13 @@ def _scan_at_rank(
     columns, and each is read as a word (columns right to left, each top to
     bottom) without building a tableau.
     """
-    source = _model_source(left.rank_model_shape(n), lie_type, n)
+    lie_type = left.kappa.lie_type
+    source = _model_source(_model_shape(left, n), lie_type, n)
     phi_x = _signatures(reading_word(source), lie_type, n)[1]
     weight_x = source.weight()
-    tail = left.level_tail() + right.level_tail()
-    zero_size = left.zero_size() + right.zero_size()
-    signed = normalize_shape(right.rank_model_shape(n), lie_type, n)
+    tail = -left.kappa.ell - right.kappa.ell
+    zero_size = sum(left.mu) + sum(right.mu)
+    signed = normalize_shape(_model_shape(right, n), lie_type, n)
     out: dict[StableComponent, int] = {}
     for cols in _column_fillings(signed, lie_type, n, max_count):
         word = [x for col in reversed(cols) for x in col]
@@ -695,47 +668,54 @@ def _scan_at_rank(
 
 
 def stabilized_decomposition(
-    left: TensorFactor,
-    right: TensorFactor,
-    lie_type: str,
+    left: StableComponent,
+    right: StableComponent,
     n_start: int | None = None,
     max_escalations: int = 2,
     max_rank: int = 24,
-    max_count: int = DEFAULT_MAX_VERTICES,
 ) -> dict[StableComponent, int]:
     """Decompose a tensor of two rank-free crystals into component labels.
 
-    Both-finite-support jobs reduce to the Littlewood-Richardson rule and
-    the rank scan cross-checks it; a finite-support left factor against a
-    dominant right factor is a single fused component; a dominant left
+    Each side is a label with an empty partition or a level-zero shape: a
+    finite-support factor ``mu`` or a dominant factor ``kappa``; the type
+    is read off the labels, and the unit label leaves the other side as it
+    is.  Both-finite-support jobs reduce to the Littlewood-Richardson rule
+    and the rank scan cross-checks it; a finite-support left factor against
+    a dominant right factor is a single fused component; a dominant left
     factor is resolved by scanning ranks n and n+1 and requiring agreement
     of the translated label multisets.  Dominant times dominant has no
     faithful rank-n shadow under this translation (the labels of the
     contracted components drift upward with the rank) and lives in the ring
     layer instead, where characters decide it.
+
+    A label with both parts set, or two labels of different types, raise
+    ValueError; a ``mu`` that is not a partition raises InvalidShapeError.
     """
-    check_lie_type(lie_type)
-    if left.is_trivial():
-        return {_factor_component(right, lie_type): 1}
-    if right.is_trivial():
-        return {_factor_component(left, lie_type): 1}
-    if left.kappa is None and right.kappa is not None:
+    left, right = _tensor_side(left), _tensor_side(right)
+    lie_type = left.kappa.lie_type
+    if right.kappa.lie_type != lie_type:
+        raise ValueError("tensor factors must share a type")
+    unit = StableComponent((), trivial_shape(lie_type))
+    if left == unit:
+        return {right: 1}
+    if right == unit:
+        return {left: 1}
+    if right.kappa.ell:
+        if left.kappa.ell:
+            raise ValueError(
+                "a product of two dominant factors is not rank-stabilizable here; "
+                "use the ring layer"
+            )
         return {StableComponent(left.mu, right.kappa): 1}
-    if left.kappa is not None and right.kappa is not None:
-        raise ValueError(
-            "a product of two dominant factors is not rank-stabilizable here; "
-            "use the ring layer"
-        )
-    if left.kappa is None and right.kappa is None:
+    expected = None
+    if not left.kappa.ell:
         expected = {
-            StableComponent(make_partition(nu), trivial_shape(lie_type)): c
+            StableComponent(make_partition(nu), unit.kappa): c
             for nu, c in lr_expand(left.mu, right.mu).items()
         }
-    else:
-        expected = None
 
     if n_start is None:
-        parts = left.parts() + right.parts()
+        parts = left.mu + left.kappa.lam + right.mu + right.kappa.lam
         n_start = max(parts, default=0) + sum(parts) + 2
     n_start = max(n_start, 2)
     # The even orthogonal family swaps full-height columns with their signed
@@ -747,8 +727,8 @@ def stabilized_decomposition(
     for _ in range(max_escalations + 1):
         if n + step > max_rank:
             break
-        first = _scan_at_rank(left, right, lie_type, n, max_count)
-        second = _scan_at_rank(left, right, lie_type, n + step, max_count)
+        first = _scan_at_rank(left, right, n, DEFAULT_MAX_VERTICES)
+        second = _scan_at_rank(left, right, n + step, DEFAULT_MAX_VERTICES)
         if first == second and (expected is None or first == expected):
             return first
         n += 2
@@ -777,12 +757,6 @@ def _label_diff(
     ]
     more = f" and {len(diff) - 3} more" if len(diff) > 3 else ""
     return f"{len(diff)} labels: " + ", ".join(diff[:3]) + more
-
-
-def _factor_component(factor: TensorFactor, lie_type: str) -> StableComponent:
-    if factor.kappa is None:
-        return StableComponent(factor.mu, trivial_shape(lie_type))
-    return StableComponent((), factor.kappa)
 
 
 def letter_graph_edges(lie_type: str, n: int) -> tuple[tuple[int, int, int], ...]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from crystalline.crystal import StableComponent, TensorFactor, stabilized_decomposition
+from crystalline.crystal import StableComponent, stabilized_decomposition
 from crystalline.symfunc import (
     SchurSeries,
     determinant,
@@ -230,7 +230,7 @@ def mul_posi_zero(lie_type: str, kappa: DominantShape, mu: Sequence[int]) -> Gro
     key = (lie_type, kappa.lam, kappa.ell, make_partition(mu))
     if key not in _POSI_ZERO_CACHE:
         scan = stabilized_decomposition(
-            TensorFactor.dominant(kappa), TensorFactor.zero(mu), lie_type
+            make_label(lie_type, (), kappa), make_label(lie_type, mu)
         )
         _POSI_ZERO_CACHE[key] = GrothElement(lie_type, scan)
     return _POSI_ZERO_CACHE[key]

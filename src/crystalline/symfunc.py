@@ -24,7 +24,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from crystalline.tableaux import normalize_shape
+from crystalline.tableaux import alphabet, normalize_shape, word_weight
 from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
@@ -241,24 +241,24 @@ def _row_bound(rows) -> int:
     return rows
 
 
-def schur_basis(lam: Sequence[int], cutoff: int, t_power: int = 0) -> SchurSeries:
+def schur_basis(lam: Sequence[int], cutoff: int) -> SchurSeries:
     """The single Schur function s_lam as a series."""
-    return SchurSeries(cutoff, {make_partition(lam): 1}, t_power)
+    return SchurSeries(cutoff, {make_partition(lam): 1})
 
 
-def zero_series(cutoff: int, t_power: int = 0) -> SchurSeries:
-    return SchurSeries(cutoff, {}, t_power)
+def zero_series(cutoff: int) -> SchurSeries:
+    return SchurSeries(cutoff, {})
 
 
-def one_series(cutoff: int, t_power: int = 0) -> SchurSeries:
-    return SchurSeries(cutoff, {(): 1}, t_power)
+def one_series(cutoff: int) -> SchurSeries:
+    return SchurSeries(cutoff, {(): 1})
 
 
-def e_series(r: int, cutoff: int, t_power: int = 0) -> SchurSeries:
+def e_series(r: int, cutoff: int) -> SchurSeries:
     """Elementary symmetric function e_r = s_{(1^r)}; zero for r < 0."""
     if r < 0:
-        return zero_series(cutoff, t_power)
-    return schur_basis((1,) * r, cutoff, t_power)
+        return zero_series(cutoff)
+    return schur_basis((1,) * r, cutoff)
 
 
 def schur_mul(f: SchurSeries, g: SchurSeries) -> SchurSeries:
@@ -405,20 +405,13 @@ def _reflected_matrix(bases: Sequence[int], entry: Callable) -> list[list]:
     ]
 
 
-def _reflected_det(bases: Sequence[int], entry: Callable, zero):
-    """det of :func:`_reflected_matrix`, built and multiplied in one order
-    for every ring."""
-    return determinant(_reflected_matrix(bases, entry), zero)
-
-
 def _level_det(lam: Sequence[int], ell: int, entry: Callable, zero, one):
     """The reflected determinant of (lam, ell), row i based at lam_{ell-i+1} + i - 1."""
     if ell == 0:
         return one
     padded = tuple(lam) + (0,) * (ell - len(lam))
-    return _reflected_det(
-        [padded[ell - i] + i - 1 for i in range(1, ell + 1)], entry, zero
-    )
+    bases = [padded[ell - i] + i - 1 for i in range(1, ell + 1)]
+    return determinant(_reflected_matrix(bases, entry), zero)
 
 
 def type_determinant(
@@ -451,21 +444,6 @@ def type_determinant(
     plain = det(mu, ell, "plain")
     low = correction() * det(mu, ell - 1, "prime")
     return (plain + low if t < ell else plain - low).half()
-
-
-def jt_determinant(shape: DominantShape, flavor: str, cutoff: int) -> SchurSeries:
-    """The ell x ell determinant with E-flavor entries for (lam, ell): row i
-    is based at b = lam_{ell-i+1} + i - 1, column j holds E_{b+j} + [j != 0] E_{b-j}."""
-    lam, ell = shape.lam, shape.ell
-    if len(lam) > ell:
-        raise InvalidShapeError("determinant requires at most ell rows")
-    return _level_det(
-        lam,
-        ell,
-        lambda r: cap_e_variant(r, flavor, cutoff),
-        zero_series(cutoff),
-        one_series(cutoff),
-    )
 
 
 def s_g_series(
@@ -590,20 +568,9 @@ class LaurentPoly(TermMap):
 
 
 def pm_alphabet(lie_type: str, n: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the rank-n letters: x_i, x_i^{-1}, and 1 for b."""
-    check_lie_type(lie_type)
-    letters = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        letters.append(tuple(e))
-    for i in range(n):
-        e = [0] * n
-        e[i] = -1
-        letters.append(tuple(e))
-    if lie_type == "b":
-        letters.append((0,) * n)
-    return letters
+    """Exponent vectors of the rank-n letters, in the order of ``alphabet``:
+    x_n^{-1} .. x_1^{-1}, 1 for b, then x_1 .. x_n."""
+    return [word_weight((x,), n).window(n) for x in alphabet(lie_type, n)]
 
 
 def elementary_laurent(r: int, letters: Sequence[tuple[int, ...]], nvars: int) -> LaurentPoly:
@@ -639,11 +606,11 @@ def _sigma_det(mu: Partition, flavor: str, letters, n: int) -> LaurentPoly:
     """
     if not mu:
         return LaurentPoly.one(n)
-    return _reflected_det(
+    matrix = _reflected_matrix(
         [p - i for i, p in enumerate(mu)],
         lambda r: elementary_variant(r, flavor, letters, n),
-        LaurentPoly.zero(n),
     )
+    return determinant(matrix, LaurentPoly.zero(n))
 
 
 def x_minus_inverse_product(n: int) -> LaurentPoly:

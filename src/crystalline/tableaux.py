@@ -54,28 +54,8 @@ from crystalline.weights import (
     make_partition,
 )
 
-__all__ = [
-    "KNTableau",
-    "SpinorColumnPair",
-    "Violation",
-    "alphabet",
-    "column_pair_ok",
-    "enumerate_kn",
-    "enumerate_spinor_columns",
-    "enumerate_spinor_columns_barred",
-    "enumerate_sst_pairs",
-    "kn_validate",
-    "kn_violations",
-    "leq",
-    "letter_ok",
-    "lt",
-    "n_admissible",
-    "normalize_shape",
-    "residue",
-    "row_pair_ok",
-    "t_lambda",
-    "word_weight",
-]
+# The default cap on enumerated fillings and graph vertices.
+DEFAULT_MAX_VERTICES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +611,7 @@ def enumerate_kn(
     shape: Sequence[int],
     lie_type: str,
     n: int,
-    max_count: int = 1_000_000,
+    max_count: int = DEFAULT_MAX_VERTICES,
 ) -> tuple[KNTableau, ...]:
     """The complete set of valid fillings of the shape at rank n, sorted.
 

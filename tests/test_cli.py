@@ -297,10 +297,8 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
     from crystalline import grothendieck
     from crystalline.crystal import stabilized_decomposition
 
-    def low(left, right, lie_type):
-        return stabilized_decomposition(
-            left, right, lie_type, n_start=2, max_escalations=0
-        )
+    def low(left, right):
+        return stabilized_decomposition(left, right, n_start=2, max_escalations=0)
 
     monkeypatch.setattr(grothendieck, "stabilized_decomposition", low)
     monkeypatch.setattr(grothendieck, "_POSI_ZERO_CACHE", {})
@@ -362,6 +360,41 @@ def test_unwritable_output_names_the_path(capsys, tmp_path):
     code, out, err = run(capsys, "groth", "h:1*z:1", "--output", str(target))
     assert code == 2 and out == ""
     assert err.startswith(f"error: cannot write {target}: ")
+
+
+PROBE_RUNS = {
+    "enumerate": ("enumerate", "--type", "c", "--rank", "2", "--shape", "1"),
+    "graph": ("graph", "--type", "c", "--rank", "2", "--shape", "1"),
+    "verify": ("verify", "jt-character", "--type", "b"),
+    "groth": ("groth", "h:1*z:1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROBE_RUNS))
+def test_unwritable_output_fails_before_the_command_runs(capsys, monkeypatch, command):
+    def must_not_run(args):
+        raise AssertionError(f"{command} ran before --output was checked")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", must_not_run)
+    code, out, err = run(capsys, *PROBE_RUNS[command], "--output", "/nonexistent/x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write /nonexistent/x: ") and err.count("\n") == 1
+
+
+def test_output_probe_keeps_files_of_failed_runs_as_they_were(capsys, tmp_path):
+    # a failing run neither cuts an existing file short nor leaves a new one
+    old = tmp_path / "old.txt"
+    old.write_text("kept\n", encoding="utf-8")
+    new = tmp_path / "new.txt"
+    for path in (old, new):
+        code, out, _ = run(capsys, "groth", "q:3", "--output", str(path))
+        assert (code, out) == (2, "")
+        code, out, _ = run(capsys, "groth", "h:0*h:0", "--degree", "99", "--output", str(path))
+        assert (code, out) == (3, "")
+    assert old.read_text(encoding="utf-8") == "kept\n"
+    assert not new.exists()
+    assert run(capsys, "groth", "h:1*z:1", "--output", str(new))[0] == 0
+    assert new.read_text(encoding="utf-8") == "[0 | 0@1] + [1 | 1@1] + [0 | 2@1]\n"
 
 
 class ReadRecorder(argparse.Namespace):

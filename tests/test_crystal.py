@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -13,7 +14,6 @@ from crystalline import crystal
 from crystalline.crystal import (
     CrystalClosureError,
     CrystalElement,
-    TensorFactor,
     build_graph,
     hw_decompose_tensor,
     letter_e,
@@ -36,11 +36,13 @@ from crystalline.crystal import (
     word_phi,
     word_weight,
 )
+from crystalline.grothendieck import make_label
 from crystalline.symfunc import lr_expand, sigma_char
 from crystalline import tableaux
 from crystalline.tableaux import KNTableau, alphabet, enumerate_kn, kn_validate, t_lambda
 from crystalline.weights import (
     DominantShape,
+    InvalidShapeError,
     ResourceCapError,
     StabilizationError,
     Weight,
@@ -69,6 +71,19 @@ def sweep_shapes(lie_type, n, budget):
             else:
                 seen.append(lam)
     return seen
+
+
+def test_package_surface_is_the_import_list():
+    names = crystalline.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    for name in names:
+        assert not isinstance(getattr(crystalline, name), types.ModuleType), name
+    assert {"crystal", "grothendieck", "symfunc", "tableaux", "weights"}.isdisjoint(names)
+    assert {"StableComponent", "make_label", "stabilized_decomposition"} <= set(names)
+    assert {"TensorFactor", "jt_determinant"}.isdisjoint(names)
+    namespace = {}
+    exec("from crystalline import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == names
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +473,45 @@ def test_crystal_axioms_sweep(lie_type, n):
                 assert k == tableau_eps(T, i)
 
 
+def word_closure(word, lie_type, n):
+    """Every word reached from ``word`` by the word operators alone, which
+    know nothing of tableaux or their filling rules."""
+    seen, frontier = {word}, [word]
+    while frontier:
+        w = frontier.pop()
+        for i in range(n):
+            for op in (tensor_e, tensor_f):
+                v = op(w, i, lie_type, n)
+                if v is not None and v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+    return seen
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_reading_words_of_kn_fillings_are_a_word_crystal(lie_type):
+    # Kashiwara-Nakashima (J. Algebra 165, 1994): the reading word embeds
+    # the crystal of a shape in a tensor power of the letter crystal, so
+    # closing the canonical filling's word under e_i and f_i reaches exactly
+    # the words of the KN fillings.  Sets, not characters, are compared: a
+    # filling rule read wrongly can keep the character and change the set.
+    shapes = 0
+    for n in (2, 3, 4):
+        for size in range(1, 5):
+            for lam in partitions_of(size):
+                if len(lam) > n:
+                    continue
+                twins = signed_variants(lam, n) if lie_type == "d" else [lam]
+                for shape in twins:
+                    top = reading_word(t_lambda(shape, lie_type, n))
+                    fillings = enumerate_kn(shape, lie_type, n)
+                    assert word_closure(top, lie_type, n) == {
+                        reading_word(T) for T in fillings
+                    }, (n, shape)
+                    shapes += 1
+    assert shapes == {"b": 29, "c": 29, "d": 36}[lie_type]
+
+
 def expected_source_window(shape, lie_type, n):
     """Reversed and negated shape, with the type-d odd-rank family swap.
 
@@ -678,12 +732,20 @@ def c_shape(lam, ell):
     return DominantShape("c", lam, ell)
 
 
+def zero(lie_type, mu):
+    """The label of a finite-support tensor factor."""
+    return make_label(lie_type, mu)
+
+
+def dominant(kappa):
+    """The label of a dominant tensor factor."""
+    return make_label(kappa.lie_type, (), kappa)
+
+
 def test_stabilized_zero_zero_matches_littlewood_richardson():
     cases = [((1,), (1,), "c"), ((2,), (1,), "b"), ((1,), (1,), "d"), ((2,), (2,), "c")]
     for mu, nu, lie_type in cases:
-        out = stabilized_decomposition(
-            TensorFactor.zero(mu), TensorFactor.zero(nu), lie_type
-        )
+        out = stabilized_decomposition(zero(lie_type, mu), zero(lie_type, nu))
         expected = {
             StableComponent(tuple(shape), DominantShape(lie_type, (), 0)): coeff
             for shape, coeff in lr_expand(mu, nu).items()
@@ -692,9 +754,7 @@ def test_stabilized_zero_zero_matches_littlewood_richardson():
 
 
 def test_stabilized_posi_zero_example():
-    out = stabilized_decomposition(
-        TensorFactor.dominant(c_shape((), 1)), TensorFactor.zero((1,)), "c"
-    )
+    out = stabilized_decomposition(dominant(c_shape((), 1)), zero("c", (1,)))
     assert out == {
         StableComponent((), c_shape((1,), 1)): 1,
         StableComponent((1,), c_shape((), 1)): 1,
@@ -703,9 +763,7 @@ def test_stabilized_posi_zero_example():
 
 def test_stabilized_type_d_multiplicity_two():
     out = stabilized_decomposition(
-        TensorFactor.dominant(DominantShape("d", (1,), 1)),
-        TensorFactor.zero((1, 1)),
-        "d",
+        dominant(DominantShape("d", (1,), 1)), zero("d", (1, 1))
     )
     expected = {
         StableComponent((), DominantShape("d", (3,), 1)): 1,
@@ -719,24 +777,22 @@ def test_stabilized_type_d_multiplicity_two():
 
 
 def test_stabilized_zero_posi_is_closed_form():
-    out = stabilized_decomposition(
-        TensorFactor.zero((2, 1)), TensorFactor.dominant(c_shape((3, 1), 2)), "c"
-    )
+    out = stabilized_decomposition(zero("c", (2, 1)), dominant(c_shape((3, 1), 2)))
     assert out == {StableComponent((2, 1), c_shape((3, 1), 2)): 1}
 
 
 def test_stabilized_trivial_factor():
-    posi = TensorFactor.dominant(c_shape((1,), 1))
-    out = stabilized_decomposition(TensorFactor.zero(()), posi, "c")
+    posi = dominant(c_shape((1,), 1))
+    out = stabilized_decomposition(zero("c", ()), posi)
     assert out == {StableComponent((), c_shape((1,), 1)): 1}
-    out = stabilized_decomposition(posi, TensorFactor.zero(()), "c")
+    out = stabilized_decomposition(posi, zero("c", ()))
     assert out == {StableComponent((), c_shape((1,), 1)): 1}
 
 
 def test_stabilized_rejects_two_dominant_factors():
-    posi = TensorFactor.dominant(c_shape((), 1))
+    posi = dominant(c_shape((), 1))
     with pytest.raises(ValueError):
-        stabilized_decomposition(posi, posi, "c")
+        stabilized_decomposition(posi, posi)
 
 
 def sweep_walk(shape, lie_type, n):
@@ -809,22 +865,30 @@ def test_one_scan_validates_one_tableau(monkeypatch):
         return checked(T)
 
     monkeypatch.setattr(crystal, "kn_validate", counted)
-    left = TensorFactor.dominant(DominantShape("c", (1,), 2))
+    left = dominant(DominantShape("c", (1,), 2))
     scan = crystal._scan_at_rank(
-        left, TensorFactor.zero((2, 1)), "c", 8, crystal.DEFAULT_MAX_VERTICES
+        left, zero("c", (2, 1)), 8, crystal.DEFAULT_MAX_VERTICES
     )
     assert scan and len(calls) == 1
 
 
-def reference_scan(left, right, lie_type, n, max_count):
+def model_shape(label, n):
+    """The rank-n model of a tensor side, spelled out by its kind."""
+    if label.kappa.ell == 0:
+        return label.mu
+    return truncation_shape(label.kappa, n)
+
+
+def reference_scan(left, right, n, max_count):
     """The scan through whole tableaux: every filling from ``enumerate_kn``,
     its ``reading_word``, and eps_i of that word one index at a time."""
-    source = crystal._model_source(left.rank_model_shape(n), lie_type, n)
+    lie_type = left.kappa.lie_type
+    source = crystal._model_source(model_shape(left, n), lie_type, n)
     phi_x = [tableau_phi(source, i) for i in range(n)]
-    tail = left.level_tail() + right.level_tail()
-    zero_size = left.zero_size() + right.zero_size()
+    tail = -left.kappa.ell - right.kappa.ell
+    zero_size = sum(left.mu) + sum(right.mu)
     out = {}
-    for y in enumerate_kn(right.rank_model_shape(n), lie_type, n, max_count):
+    for y in enumerate_kn(model_shape(right, n), lie_type, n, max_count):
         word = reading_word(y)
         if not all(word_eps(word, i, lie_type, n) <= phi_x[i] for i in range(n)):
             continue
@@ -839,23 +903,22 @@ def reference_scan(left, right, lie_type, n, max_count):
 @pytest.mark.parametrize("lie_type", ["b", "c", "d"])
 def test_column_scan_matches_the_tableau_scan(lie_type):
     cap = crystal.DEFAULT_MAX_VERTICES
-    rights = [TensorFactor.zero(mu) for mu in [(1,), (2,), (1, 1), (2, 1)]]
+    rights = [zero(lie_type, mu) for mu in [(1,), (2,), (1, 1), (2, 1)]]
     lefts = [
-        TensorFactor.dominant(DominantShape(lie_type, lam, ell))
-        for lam, ell in DOMINANT_MODELS
-    ] + [TensorFactor.zero((1,))]
+        dominant(DominantShape(lie_type, lam, ell)) for lam, ell in DOMINANT_MODELS
+    ] + [zero(lie_type, (1,))]
     labels = 0
     for n in (3, 4, 5, 6):
         for left in lefts:
             for right in rights:
-                scan = crystal._scan_at_rank(left, right, lie_type, n, cap)
-                assert scan == reference_scan(left, right, lie_type, n, cap), (
+                scan = crystal._scan_at_rank(left, right, n, cap)
+                assert scan == reference_scan(left, right, n, cap), (
                     n, left, right
                 )
                 labels += len(scan)
     assert labels > 100
     with pytest.raises(ResourceCapError):
-        crystal._scan_at_rank(lefts[0], rights[-1], lie_type, 3, 10)
+        crystal._scan_at_rank(lefts[0], rights[-1], 3, 10)
 
 
 def test_model_source_checks_its_result(monkeypatch):
@@ -881,16 +944,12 @@ def test_model_source_checks_its_result(monkeypatch):
 
 def test_non_stabilization_carries_its_evidence():
     # ranks 2 and 3 disagree for this product, and no escalation is allowed
-    left = TensorFactor.dominant(DominantShape("b", (1,), 1))
+    left, right = dominant(DominantShape("b", (1,), 1)), zero("b", (1,))
     with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(
-            left, TensorFactor.zero((1,)), "b", n_start=2, max_escalations=0
-        )
+        stabilized_decomposition(left, right, n_start=2, max_escalations=0)
     err = info.value
     scans = [
-        crystal._scan_at_rank(
-            left, TensorFactor.zero((1,)), "b", n, crystal.DEFAULT_MAX_VERTICES
-        )
+        crystal._scan_at_rank(left, right, n, crystal.DEFAULT_MAX_VERTICES)
         for n in (2, 3)
     ]
     assert [err.first, err.second] == scans and err.first != err.second
@@ -903,19 +962,19 @@ def test_non_stabilization_carries_its_evidence():
 
 def test_non_stabilization_against_littlewood_richardson(monkeypatch):
     # zero times zero also checks the scans against the LR expansion
-    mu = TensorFactor.zero((1,))
+    mu = zero("c", (1,))
     expected = {
         StableComponent(nu, DominantShape("c", (), 0)): 1 for nu in [(2,), (1, 1)]
     }
     with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(mu, mu, "c", n_start=2, max_rank=2)
+        stabilized_decomposition(mu, mu, n_start=2, max_rank=2)
     err = info.value
     assert (err.first, err.second, err.expected) == (None, None, expected)
     assert str(err) == "decomposition did not stabilize by rank 2"
     # two scans that agree with each other but not with the LR labels
     monkeypatch.setattr(crystal, "_scan_at_rank", lambda *args: {})
     with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(mu, mu, "c", n_start=2, max_escalations=0)
+        stabilized_decomposition(mu, mu, n_start=2, max_escalations=0)
     err = info.value
     assert (err.first, err.second, err.expected) == ({}, {}, expected)
     assert str(err).endswith(
@@ -925,7 +984,16 @@ def test_non_stabilization_against_littlewood_richardson(monkeypatch):
 
 
 def test_tensor_factor_validation():
-    with pytest.raises(ValueError):
-        TensorFactor(mu=(1,), kappa=c_shape((), 1))
-    with pytest.raises(ValueError):
-        TensorFactor.zero((1, 2))
+    # a label with both sides set, labels of two types, a mu that is not a
+    # partition
+    posi = dominant(c_shape((), 1))
+    with pytest.raises(ValueError) as info:
+        stabilized_decomposition(StableComponent((1,), c_shape((), 1)), zero("c", (1,)))
+    assert not isinstance(info.value, InvalidShapeError)
+    with pytest.raises(ValueError) as info:
+        stabilized_decomposition(posi, zero("b", (1,)))
+    assert not isinstance(info.value, InvalidShapeError)
+    with pytest.raises(InvalidShapeError):
+        stabilized_decomposition(posi, StableComponent((1, 2), c_shape((), 0)))
+    with pytest.raises(InvalidShapeError):
+        stabilized_decomposition(StableComponent((1, 2), c_shape((), 0)), posi)
