@@ -224,10 +224,6 @@ def cmd_graph(args) -> int:
     shape = parse_parts(args.shape)
     seed = t_lambda(shape, lie, args.rank)
     graph = build_graph(seed, max_vertices=args.max_vertices)
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    edges = sorted(
-        (index[src], i, index[dst]) for (src, i), dst in graph.arrows.items()
-    )
     if args.format == "dot":
         text = graph.to_dot() + "\n"
     elif args.format == "json":
@@ -237,11 +233,11 @@ def cmd_graph(args) -> int:
                 "rank": args.rank,
                 "shape": list(shape),
                 "vertices": [v.label() for v in graph.vertices],
-                "edges": [list(e) for e in edges],
+                "edges": [list(e) for e in graph.edges()],
             }
         )
     elif args.format == "csv":
-        text = rows_to_csv(("source", "arrow", "target"), edges)
+        text = rows_to_csv(("source", "arrow", "target"), graph.edges())
     else:
         raise CliError("graph supports --format dot, json, or csv")
     emit(text, args.output)

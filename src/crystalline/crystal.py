@@ -19,8 +19,8 @@ closure already on one row of two cells; the tests keep it as a reference.)
 
 A tensor element is a tuple of tableau factors, and it acts through the
 concatenated reading word of its factors; a tableau is the one-factor case.
-Graphs are generated by breadth-first closure under all raising and
-lowering operators, reading each vertex's word once; the source of one
+A graph walks its seed up to its source, then closes under lowering
+operators on reading words, checking each vertex once; the source of one
 model has a closed form, and tensor sources come from full scans.
 
 Rank-stabilized decompositions translate the sources of a rank-n model into
@@ -31,7 +31,6 @@ multiset must agree between ranks n and n+1, with escalation on mismatch.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -195,22 +194,25 @@ def _signatures(
     minus, plus = [0] * n, [0] * n
     e_pos: list[int | None] = [None] * n
     f_pos: list[int | None] = [None] * n
-    for pos, x in enumerate(word):
-        for i, eps, phi in moves[x]:
-            if eps:
-                have = plus[i]
-                if eps < have:
-                    plus[i] = have - eps
-                else:
-                    if eps > have:
-                        minus[i] += eps - have
-                        e_pos[i] = pos
-                    plus[i] = 0
-                    f_pos[i] = None
-            if phi:
-                if not plus[i]:
-                    f_pos[i] = pos
-                plus[i] += phi
+    try:
+        for pos, x in enumerate(word):
+            for i, eps, phi in moves[x]:
+                if eps:
+                    have = plus[i]
+                    if eps < have:
+                        plus[i] = have - eps
+                    else:
+                        if eps > have:
+                            minus[i] += eps - have
+                            e_pos[i] = pos
+                        plus[i] = 0
+                        f_pos[i] = None
+                if phi:
+                    if not plus[i]:
+                        f_pos[i] = pos
+                    plus[i] += phi
+    except KeyError as err:
+        raise ValueError(f"letter {err} outside the rank-{n} alphabet") from None
     return minus, plus, e_pos, f_pos
 
 
@@ -280,12 +282,8 @@ def reading_word(T: KNTableau) -> tuple[int, ...]:
 
 def tableau_op(T: KNTableau, op: str, i: int) -> KNTableau | None:
     """Apply a raising ("e") or lowering ("f") operator to a tableau: the
-    one-factor case of :meth:`CrystalElement.op`.
-
-    The operator changes the letter at the position of the reading word that
-    the signature rule selects.  Every result is checked against the filling
-    rules; one that breaks them raises CrystalClosureError.
-    """
+    one-factor case of :meth:`CrystalElement.op`, so a result that breaks
+    the filling rules raises CrystalClosureError."""
     out = CrystalElement((T,)).op(op, i)
     return None if out is None else out.factors[0]
 
@@ -330,42 +328,19 @@ class CrystalElement:
         return word_weight(self.word(), self.rank)
 
     def word(self) -> tuple[int, ...]:
-        return tuple(
-            itertools.chain.from_iterable(reading_word(T) for T in self.factors)
-        )
+        return tuple(x for T in self.factors for x in reading_word(T))
 
     def sort_key(self) -> tuple:
         return tuple((T.shape, T.rows) for T in self.factors)
 
     def op(self, op: str, i: int) -> "CrystalElement | None":
-        """Apply the operator through the tensor signature rule on the
-        concatenated reading word of the factors."""
+        """Apply the operator by the signature rule on the factors' reading word;
+        a changed factor that breaks the filling rules raises CrystalClosureError."""
         if op not in ("e", "f"):
             raise ValueError(f"operator must be 'e' or 'f', got {op!r}")
-        _check_index(i, self.rank)
-        return self._apply(op, i, _signatures(self.word(), self.lie_type, self.rank))
-
-    def _apply(self, op: str, i: int, sig: tuple) -> "CrystalElement | None":
-        """The operator at the word position that ``sig``, the
-        ``_signatures`` of this element's word, selects for it.  The changed
-        factor is checked against the filling rules; a break raises
-        CrystalClosureError."""
-        pos = sig[3 if op == "f" else 2][i]
-        if pos is None:
-            return None
-        factors = self.factors
-        for k, T in enumerate(factors):
-            positions = reading_positions(T.shape)
-            if pos < len(positions):
-                break
-            pos -= len(positions)
-        lie_type, n, rows = T.lie_type, T.rank, T.rows
-        r, c = positions[pos]
-        row = _step(rows[r], c, op, i, lie_type, n)
-        out = KNTableau._trusted(T.shape, rows[:r] + (row,) + rows[r + 1 :], lie_type, n)
-        if not kn_validate(out):
-            raise CrystalClosureError(T, op, i, out)
-        return CrystalElement(factors[:k] + (out,) + factors[k + 1 :])
+        step = tensor_f if op == "f" else tensor_e
+        after = step(self.word(), i, self.lie_type, self.rank)
+        return None if after is None else _rebuild(self, op, i, after)
 
     def eps(self, i: int) -> int:
         return word_eps(self.word(), i, self.lie_type, self.rank)
@@ -380,6 +355,27 @@ class CrystalElement:
             ) or "empty"
 
         return " (x) ".join(one(T) for T in self.factors)
+
+
+def _rebuild(
+    before: CrystalElement, op: str, i: int, word: tuple[int, ...]
+) -> CrystalElement:
+    """The element one step (op, i) from ``before`` with reading word
+    ``word``, its factors refilled from their pieces of the word; a changed
+    factor that breaks the filling rules raises CrystalClosureError."""
+    factors, letters = [], iter(word)
+    for T in before.factors:
+        rows = [[0] * abs(width) for width in T.shape]
+        for (r, c), x in zip(reading_positions(T.shape), letters):
+            rows[r][c] = x
+        rows = tuple(map(tuple, rows))
+        if rows != T.rows:
+            after = KNTableau._trusted(T.shape, rows, T.lie_type, T.rank)
+            if not kn_validate(after):
+                raise CrystalClosureError(T, op, i, after)
+            T = after
+        factors.append(T)
+    return CrystalElement(tuple(factors))
 
 
 def as_element(seed: "KNTableau | CrystalElement") -> CrystalElement:
@@ -434,15 +430,18 @@ class CrystalGraph:
                     frontier.append(u)
         return len(seen) == len(self.vertices)
 
-    def to_dot(self) -> str:
+    def edges(self) -> list[tuple[int, int, int]]:
+        """The arrows as sorted (source index, i, target index) triples into
+        ``vertices``; the source and i fix the target."""
         index = {v: k for k, v in enumerate(self.vertices)}
+        return sorted((index[s], i, index[t]) for (s, i), t in self.arrows.items())
+
+    def to_dot(self) -> str:
         lines = ["digraph crystal {"]
-        for v in self.vertices:
-            lines.append(f'  v{index[v]} [label="{v.label()}"];')
-        for (src, i), dst in sorted(
-            self.arrows.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-        ):
-            lines.append(f'  v{index[src]} -> v{index[dst]} [label="{i}"];')
+        for k, v in enumerate(self.vertices):
+            lines.append(f'  v{k} [label="{v.label()}"];')
+        for src, i, dst in self.edges():
+            lines.append(f'  v{src} -> v{dst} [label="{i}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -454,45 +453,49 @@ def build_graph(
     """The connected component of the seed, with each arrow found once.
 
     The seed walks up through raising operators to the source of its
-    component (a component of these crystals has exactly one), and the
-    graph is then the breadth-first closure of the source under the
-    lowering operators.  Every arrow is found from its tail, the arrows of
-    the walk up are reused, and each operator output is checked once.
+    component (a component of these crystals has exactly one), then the
+    source's reading word is closed under the lowering operators.  Every
+    arrow is found from its tail, the walk's arrows are reused, and each
+    vertex but the seed is built and checked once, when first reached.
     """
-    start = as_element(seed)
-    lie_type, n = start.lie_type, start.rank
-    arrows: dict[tuple[CrystalElement, int], CrystalElement] = {}
-    source = start
+    seed = as_element(seed)
+    lie_type, n = seed.lie_type, seed.rank
+    source = seed.word()
+    elements = {source: seed}
+    arrows: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
     while True:
-        sig = _signatures(source.word(), lie_type, n)
-        i = next((i for i, pos in enumerate(sig[2]) if pos is not None), None)
+        e_pos = _signatures(source, lie_type, n)[2]
+        i = next((i for i, pos in enumerate(e_pos) if pos is not None), None)
         if i is None:
             break
-        up = source._apply("e", i, sig)
-        arrows[(up, i)] = source
+        up = _step(source, e_pos[i], "e", i, lie_type, n)
+        elements[up] = _rebuild(elements[source], "e", i, up)
+        arrows[up, i] = source
         source = up
     seen = {source}
     frontier = [source]
     while frontier:
-        new: list[CrystalElement] = []
+        new: list[tuple[int, ...]] = []
         for v in frontier:
-            sig = _signatures(v.word(), lie_type, n)
-            for i, pos in enumerate(sig[3]):
+            for i, pos in enumerate(_signatures(v, lie_type, n)[3]):
                 if pos is None:
                     continue
                 down = arrows.get((v, i))
                 if down is None:
-                    down = arrows[(v, i)] = v._apply("f", i, sig)
+                    down = arrows[v, i] = _step(v, pos, "f", i, lie_type, n)
                 if down not in seen:
                     seen.add(down)
                     new.append(down)
+                    if down not in elements:
+                        elements[down] = _rebuild(elements[v], "f", i, down)
             if len(seen) > max_vertices:
                 raise ResourceCapError(
                     f"crystal graph exceeded {max_vertices} vertices"
                 )
         frontier = new
-    vertices = tuple(sorted(seen, key=CrystalElement.sort_key))
-    return CrystalGraph(lie_type, n, vertices, arrows)
+    vertices = tuple(sorted(elements.values(), key=CrystalElement.sort_key))
+    edges = {(elements[v], i): elements[w] for (v, i), w in arrows.items()}
+    return CrystalGraph(lie_type, n, vertices, edges)
 
 
 # ---------------------------------------------------------------------------

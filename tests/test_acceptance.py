@@ -31,7 +31,6 @@ from crystalline import (
 )
 from crystalline.cli import (
     suite_dominance_lemma,
-    suite_e_expansion,
     suite_jt_character,
     suite_laurent_bridge,
     suite_psi_homomorphism,

@@ -256,6 +256,14 @@ def test_signature_cancellation():
     assert word_phi((1, -1), 0, "c", 2) == 1
 
 
+def test_word_functions_reject_letters_outside_the_alphabet():
+    # the single-letter functions answer 0 or None there instead
+    for fn in (word_eps, word_phi, tensor_e, tensor_f):
+        for word, lie_type in [((5,), "c"), ((1, 0, 2), "c"), ((-3, 1), "b")]:
+            with pytest.raises(ValueError, match="outside the rank-2 alphabet"):
+                fn(word, 1, lie_type, 2)
+
+
 def brute_reduction(pairs):
     """The signature rule by the definition, on a sequence of (eps, phi)
     pairs: write out eps minus signs then phi plus signs per position, cancel
@@ -596,7 +604,8 @@ def test_graph_arrows_equal_the_both_ends_closure():
         assert crystal.as_element(seed) in seen
 
 
-def test_graph_checks_each_arrow_once(monkeypatch):
+def test_graph_checks_each_vertex_once(monkeypatch):
+    # every vertex but the seed is checked once, when it is first reached
     calls = []
 
     def counting(T):
@@ -613,7 +622,30 @@ def test_graph_checks_each_arrow_once(monkeypatch):
     ]:
         calls.clear()
         graph = build_graph(seed)
-        assert len(calls) == graph.arrow_count() > 0, seed
+        assert len(calls) == len(graph) - 1 > 0, seed
+
+
+def test_closure_error_names_the_changed_factor(monkeypatch):
+    # letters 3 (x) 1 in type c rank 3: f_1 and e_0 both act on the second
+    # factor, and so does the first step of the walk up
+    singles = enumerate_kn((1,), "c", 3)
+    x = CrystalElement((singles[5], singles[3]))
+    assert [T.rows for T in x.factors] == [((3,),), ((1,),)]
+    down, up = x.op("f", 1), x.op("e", 0)
+    assert down.factors[0] == up.factors[0] == x.factors[0]
+    monkeypatch.setattr(crystal, "kn_validate", lambda *args, **kwargs: False)
+    with pytest.raises(CrystalClosureError) as info:
+        x.op("f", 1)
+    err = info.value
+    assert (err.tableau, err.op, err.index, err.result) == (
+        x.factors[1], "f", 1, down.factors[1]
+    )
+    with pytest.raises(CrystalClosureError) as info:
+        build_graph(x)
+    err = info.value
+    assert (err.tableau, err.op, err.index, err.result) == (
+        x.factors[1], "e", 0, up.factors[1]
+    )
 
 
 def test_dot_output_is_deterministic():

@@ -1,6 +1,5 @@
 """Tests for Schur arithmetic, E-series identities, and rank-n characters."""
 
-import itertools
 import json
 import random
 
@@ -13,7 +12,6 @@ from crystalline.weights import (
     InvalidShapeError,
     conjugate,
     level_shapes,
-    make_partition,
     partitions_of,
 )
 from crystalline.symfunc import (
@@ -40,7 +38,6 @@ from crystalline.symfunc import (
     spinor_char,
     spinor_char_barred,
     two_column_schur,
-    x_minus_inverse_product,
     zero_series,
 )
 
