@@ -39,9 +39,9 @@ from crystalline.grothendieck import (
     structure_constant,
 )
 from crystalline.symfunc import (
+    _E_FLAVOR,
     LaurentPoly,
     alternating_e_product,
-    cap_e,
     cap_e_variant,
     laurent_specialize,
     s_g_series,
@@ -284,23 +284,21 @@ def suite_residue_character(args) -> list[Instance]:
 
 
 def suite_e_expansion(args) -> list[Instance]:
-    """Spinor column generating functions against the paired E series."""
+    """The residue-strata characters of the enumerated spinor frames against
+    E series built from Littlewood-Richardson products."""
     out: list[Instance] = []
     cutoff = args.degree
     for lie in _types_from(args):
         for a in parse_range(args.a):
-            if lie in ("b", "c"):
-                flavor = "prime" if lie == "c" else "second"
-                want = cap_e_variant(a, flavor, cutoff).with_t_power(1)
-                ok = spinor_char(a, lie, cutoff) == want
-            elif a >= 1:
-                ok = spinor_char(a, "d", cutoff) == cap_e(a, cutoff).with_t_power(1)
-            else:
-                plain = spinor_char(0, "d", cutoff)
+            char = spinor_char(a, lie, cutoff)
+            want = cap_e_variant(a, _E_FLAVOR[lie], cutoff).with_t_power(1)
+            if lie == "d" and a == 0:
                 barred = spinor_char_barred(cutoff)
-                ok = plain + barred == cap_e(0, cutoff).with_t_power(1) and (
-                    plain - barred == alternating_e_product(cutoff).with_t_power(1)
+                ok = char + barred == want and (
+                    char - barred == alternating_e_product(cutoff).with_t_power(1)
                 )
+            else:
+                ok = char == want
             out.append((f"type {lie} excess {a}", ok, ""))
     return out
 

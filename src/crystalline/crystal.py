@@ -390,20 +390,21 @@ def as_element(seed: "KNTableau | CrystalElement") -> CrystalElement:
 
 @dataclass(frozen=True)
 class CrystalGraph:
-    """Closure of a seed under all operators, with lowering arrows stored."""
+    """Closure of a seed under all operators, with lowering arrows stored as
+    sorted (source index, i, target index) triples into ``vertices``."""
 
     lie_type: str
     rank: int
     vertices: tuple[CrystalElement, ...]
-    arrows: Mapping[tuple[CrystalElement, int], CrystalElement]
+    arrows: tuple[tuple[int, int, int], ...]
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def sources(self) -> tuple[CrystalElement, ...]:
         """Vertices killed by every raising operator."""
-        targets = set(self.arrows.values())
-        return tuple(v for v in self.vertices if v not in targets)
+        targets = {t for _, _, t in self.arrows}
+        return tuple(v for k, v in enumerate(self.vertices) if k not in targets)
 
     def character(self) -> LaurentPoly:
         return LaurentPoly.from_weights(
@@ -416,15 +417,14 @@ class CrystalGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        adj: dict[CrystalElement, list[CrystalElement]] = {}
-        for (src, _), dst in self.arrows.items():
-            adj.setdefault(src, []).append(dst)
-            adj.setdefault(dst, []).append(src)
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
+        adj: list[list[int]] = [[] for _ in self.vertices]
+        for src, _, dst in self.arrows:
+            adj[src].append(dst)
+            adj[dst].append(src)
+        seen = {0}
+        frontier = [0]
         while frontier:
-            v = frontier.pop()
-            for u in adj.get(v, ()):
+            for u in adj[frontier.pop()]:
                 if u not in seen:
                     seen.add(u)
                     frontier.append(u)
@@ -433,8 +433,7 @@ class CrystalGraph:
     def edges(self) -> list[tuple[int, int, int]]:
         """The arrows as sorted (source index, i, target index) triples into
         ``vertices``; the source and i fix the target."""
-        index = {v: k for k, v in enumerate(self.vertices)}
-        return sorted((index[s], i, index[t]) for (s, i), t in self.arrows.items())
+        return list(self.arrows)
 
     def to_dot(self) -> str:
         lines = ["digraph crystal {"]
@@ -493,9 +492,10 @@ def build_graph(
                     f"crystal graph exceeded {max_vertices} vertices"
                 )
         frontier = new
-    vertices = tuple(sorted(elements.values(), key=CrystalElement.sort_key))
-    edges = {(elements[v], i): elements[w] for (v, i), w in arrows.items()}
-    return CrystalGraph(lie_type, n, vertices, edges)
+    words = sorted(elements, key=lambda w: elements[w].sort_key())
+    index = {w: k for k, w in enumerate(words)}
+    edges = tuple(sorted((index[v], i, index[w]) for (v, i), w in arrows.items()))
+    return CrystalGraph(lie_type, n, tuple(elements[w] for w in words), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -572,8 +572,8 @@ def window_to_component(
     return StableComponent(mu, kappa)
 
 
-def _stability_blocks(window: Sequence[int], tail: int, lie_type: str) -> tuple[int, int, int]:
-    """Lengths (shallow, at-tail, deep) of the three blocks of the window."""
+def _stability_blocks(window: Sequence[int], tail: int, lie_type: str) -> tuple[int, int]:
+    """Lengths (shallow, at-tail) of the first two blocks of the window."""
     values = list(window)
     if lie_type == "d" and values and values[0] > 0:
         values[0] = -values[0]
@@ -583,7 +583,7 @@ def _stability_blocks(window: Sequence[int], tail: int, lie_type: str) -> tuple[
     q = 0
     while p + q < len(values) and values[p + q] == tail:
         q += 1
-    return p, q, len(values) - p - q
+    return p, q
 
 
 def _is_stable_window(
@@ -599,7 +599,7 @@ def _is_stable_window(
     """
     if tail == 0:
         return sum(abs(m) for m in window) == zero_size
-    p, q, deep = _stability_blocks(window, tail, lie_type)
+    p, q = _stability_blocks(window, tail, lie_type)
     if any(window[k] == tail for k in range(p + q, len(window))):
         return False
     return q >= zero_size

@@ -24,7 +24,14 @@ from operator import add
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from crystalline.tableaux import alphabet, normalize_shape, word_weight
+from crystalline.tableaux import (
+    _barred_frame_grid,
+    _frame_grid,
+    _max_residue,
+    alphabet,
+    normalize_shape,
+    word_weight,
+)
 from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
@@ -349,50 +356,42 @@ def two_column_schur(left: int, right: int, cutoff: int) -> SchurSeries:
     return schur_basis(lam, cutoff)
 
 
-def spinor_char(a: int, lie_type: str, cutoff: int) -> SchurSeries:
-    """Weight generating function of the one-column-pair model, t power 1.
+def _frames_char(
+    a: int, frames: Iterable[tuple[int, int]], max_residue: int, cutoff: int
+) -> SchurSeries:
+    """The frames' residue strata k <= min(a, b, max_residue), t power 1: the
+    fillings of (a, b, c) with residue k have the character of the column
+    pair (a+b+c-k, c+k)."""
+    total = Accumulator(zero_series(cutoff))
+    for b, c in frames:
+        for k in range(min(a, b, max_residue) + 1):
+            total.add(two_column_schur(a + b + c - k, c + k, cutoff))
+    return total.result().with_t_power(1)
 
-    Closed Schur expansions, summed over all shapes admitted for the type:
-    symplectic sums s over column pairs (a+c, c); odd orthogonal over
-    (a+b+c, c); even orthogonal (a >= 1) over (a+2b+c, c); the even
-    orthogonal a = 0 case sums over even column pairs.
-    """
+
+def spinor_char(a: int, lie_type: str, cutoff: int) -> SchurSeries:
+    """Weight generating function of the one-column-pair model, t power 1:
+    the residue strata of the frames and residues that
+    :func:`~crystalline.tableaux.enumerate_spinor_columns` walks."""
     check_lie_type(lie_type)
     if a < 0:
         raise InvalidShapeError("column height must be non-negative")
-    total = Accumulator(zero_series(cutoff))
-    if lie_type == "c":
-        for c in range(0, (cutoff - a) // 2 + 1):
-            total.add(two_column_schur(a + c, c, cutoff))
-    elif lie_type == "b":
-        for c in range(0, cutoff + 1):
-            for b in range(0, cutoff + 1 - a - 2 * c):
-                total.add(two_column_schur(a + b + c, c, cutoff))
-    elif a >= 1:
-        for c in range(0, cutoff + 1):
-            for b in range(0, (cutoff - a - 2 * c) // 2 + 1):
-                total.add(two_column_schur(a + 2 * b + c, c, cutoff))
-    else:
-        for c in range(0, cutoff // 2 + 1):
-            for b in range(0, (cutoff - 4 * c) // 2 + 1):
-                total.add(two_column_schur(2 * b + 2 * c, 2 * c, cutoff))
-    return total.result().with_t_power(1)
+    frames = _frame_grid(lie_type, a, cutoff)
+    return _frames_char(a, frames, _max_residue(lie_type), cutoff)
 
 
 def spinor_char_barred(cutoff: int) -> SchurSeries:
-    """The barred even-orthogonal companion at a = 0, t power 1."""
-    total = Accumulator(zero_series(cutoff))
-    for c in range(0, cutoff + 1):
-        for b in range(0, cutoff + 1):
-            p, q = 2 * b + 2 * c + 1, 2 * c + 1
-            if p + q > cutoff:
-                break
-            total.add(two_column_schur(p, q, cutoff))
-    return total.result().with_t_power(1)
+    """The barred even-orthogonal companion at a = 0, t power 1: the frames
+    of :func:`~crystalline.tableaux.enumerate_spinor_columns_barred`."""
+    return _frames_char(0, _barred_frame_grid(cutoff), _max_residue("d"), cutoff)
 
 
 # ---------------------------------------------------------------------------
 # Jacobi-Trudi determinants, shared by the series, the ring and the algebra
+
+
+# the E flavor of each type's spinor characters and level determinants
+_E_FLAVOR = {"c": "prime", "b": "second", "d": "plain"}
 
 
 def _reflected_matrix(bases: Sequence[int], entry: Callable) -> list[list]:
@@ -428,18 +427,13 @@ def type_determinant(
     prime one level down), + for t < ell; for t > ell both determinants
     keep the first 2 ell - t rows.  An odd coefficient raises ArithmeticError.
     """
-    lam, ell = shape.lam, shape.ell
+    lam, ell, t = shape.lam, shape.ell, len(shape.lam)
 
     def det(rows: Sequence[int], size: int, flavor: str):
         return _level_det(rows, size, lambda r: entry(r, flavor), zero, one)
 
-    if shape.lie_type == "c":
-        return det(lam, ell, "prime")
-    if shape.lie_type == "b":
-        return det(lam, ell, "second")
-    t = len(lam)
-    if t == ell:
-        return det(lam, ell, "plain")
+    if shape.lie_type != "d" or t == ell:
+        return det(lam, ell, _E_FLAVOR[shape.lie_type])
     mu = lam if t < ell else make_partition(lam[: 2 * ell - t])
     plain = det(mu, ell, "plain")
     low = correction() * det(mu, ell - 1, "prime")

@@ -910,6 +910,14 @@ def _frame_grid(lie_type: str, a: int, max_degree: int) -> Iterator[tuple[int, i
                 yield b, c
 
 
+def _barred_frame_grid(max_degree: int) -> Iterator[tuple[int, int]]:
+    """The (b, c) of the barred family's frames (0, b, c): b even, c odd."""
+    for b in range(0, max_degree + 1, 2):
+        for c in range(1, max_degree + 1, 2):
+            if b + 2 * c <= max_degree:
+                yield b, c
+
+
 def _max_residue(lie_type: str) -> int:
     return 1 if lie_type == "d" else 0
 
@@ -936,12 +944,10 @@ def enumerate_spinor_columns(
 
 
 def enumerate_spinor_columns_barred(max_degree: int) -> tuple[SpinorColumnPair, ...]:
-    """The even orthogonal companion family at excess zero: frames (0, b, c+1)
-    with b and c even, so the right-column excess is odd and the empty pair
-    never occurs.  Sorted by (b, c, left, right), the generation order."""
+    """The even orthogonal companion family at excess zero: frames (0, b, c)
+    with b even and c odd, so the right-column excess is odd and the empty
+    pair never occurs.  Sorted by (b, c, left, right), the generation order."""
     out: list[SpinorColumnPair] = []
-    for b in range(0, max_degree + 1, 2):
-        for c in range(0, max_degree + 1, 2):
-            if b + 2 * (c + 1) <= max_degree:
-                out.extend(_sst_pairs(0, b, c + 1, max_degree))
+    for b, c in _barred_frame_grid(max_degree):
+        out.extend(_sst_pairs(0, b, c, max_degree))
     return tuple(out)

@@ -231,12 +231,6 @@ def is_dominant(w: Weight, lie_type: str) -> bool:
     return all(pairing(w, i, lie_type) >= 0 for i in range(0, top + 1))
 
 
-def is_dominant_window(coords: Sequence[int], lie_type: str) -> bool:
-    """Dominance of a rank-n weight against the n coroots indexed 0..n-1."""
-    w = Weight(tuple(coords), tail=coords[-1] if coords else 0)
-    return all(pairing(w, i, lie_type) >= 0 for i in range(0, len(coords)))
-
-
 def level(w: Weight, lie_type: str) -> int:
     """Level of the weight: -2*tail for b and d, -tail for c.
 

@@ -9,6 +9,7 @@ import pytest
 from crystalline import tableaux
 from crystalline.symfunc import (
     LaurentPoly,
+    laurent_specialize,
     monomials_to_schur,
     schur_poly,
     sigma_char,
@@ -16,6 +17,7 @@ from crystalline.symfunc import (
     spinor_char_barred,
 )
 from crystalline.tableaux import (
+    _barred_frame_grid,
     _frame_grid,
     _frame_strata,
     _max_residue,
@@ -1122,3 +1124,30 @@ def test_spinor_enumeration_matches_series_characters():
         assert got == want, ("d", a)
     got = spinor_schur(enumerate_spinor_columns_barred(D), D)
     assert got == dict(spinor_char_barred(D).coeffs)
+
+
+def frames_tally(a, frames, bound, D):
+    """The entry counts of the frames' fillings in 1..D with residue at most
+    the bound, read from the content strata without building a pair."""
+    total: dict = {}
+    for b, c in frames:
+        strata = _frame_strata(a, b, c, D)
+        for k in range(min(a, b, bound) + 1):
+            for exp, count in strata.get(k, {}).items():
+                total[exp] = total.get(exp, 0) + count
+    return total
+
+
+def test_spinor_chars_are_the_model_tallies():
+    # the characters sum the residue strata over the enumeration's frames;
+    # specialized to D variables they are the fillings' content tallies
+    for D in range(8):
+        for lie_type in ("b", "c", "d"):
+            bound = _max_residue(lie_type)
+            for a in range(5):
+                got = laurent_specialize(spinor_char(a, lie_type, D).with_t_power(0), D)
+                want = frames_tally(a, _frame_grid(lie_type, a, D), bound, D)
+                assert got.terms == want, (lie_type, a, D)
+        got = laurent_specialize(spinor_char_barred(D).with_t_power(0), D)
+        want = frames_tally(0, _barred_frame_grid(D), _max_residue("d"), D)
+        assert got.terms == want, ("barred", D)

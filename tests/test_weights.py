@@ -14,7 +14,6 @@ from crystalline.weights import (
     dominant_weight,
     fuse_zero_dominant,
     is_dominant,
-    is_dominant_window,
     is_partition,
     level,
     make_partition,
@@ -195,16 +194,6 @@ def test_dominance_examples():
     assert is_dominant(Weight((4,), -4), "d")
     assert not is_dominant(Weight((2, -1), -1), "d")
     assert not is_dominant(Weight((-2, -1), -3), "c")
-
-
-def test_dominant_window():
-    assert is_dominant_window((-1, -1), "c")
-    assert is_dominant_window((-1, -1), "d")
-    assert is_dominant_window((1, -1), "d")
-    assert not is_dominant_window((1, 1), "d")
-    assert not is_dominant_window((1, 1), "c")
-    assert not is_dominant_window((0, 1), "b")
-    assert is_dominant_window((0, 0, 0), "b")
 
 
 # ---------------------------------------------------------------------------
