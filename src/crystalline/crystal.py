@@ -34,6 +34,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from crystalline.symfunc import LaurentPoly, lr_expand
@@ -113,26 +114,29 @@ def _letter_strings(lie_type: str, n: int) -> tuple[tuple[int, tuple[int, ...]],
 
 
 @lru_cache(maxsize=None)
-def _letter_steps(lie_type: str, n: int) -> dict[tuple[str, int, int], int]:
-    """(op, letter, i) -> the letter that e_i ("e") or f_i ("f") moves it to."""
+def _letter_steps(lie_type: str, n: int) -> Mapping[tuple[str, int, int], int]:
+    """(op, letter, i) -> the letter that e_i ("e") or f_i ("f") moves it to,
+    as a read-only map, since every caller shares it."""
     steps = {}
     for i, string in _letter_strings(lie_type, n):
         for x, y in zip(string, string[1:]):
             steps["f", x, i] = y
             steps["e", y, i] = x
-    return steps
+    return MappingProxyType(steps)
 
 
 @lru_cache(maxsize=None)
-def _letter_moves(lie_type: str, n: int) -> dict[int, tuple[tuple[int, int, int], ...]]:
+def _letter_moves(
+    lie_type: str, n: int
+) -> Mapping[int, tuple[tuple[int, int, int], ...]]:
     """Per letter, (i, eps_i, phi_i) for each i-string through it, by i: its
     distance from either end of the string.  A letter lies on the strings of
-    at most three indices."""
+    at most three indices.  Read-only, like :func:`_letter_steps`."""
     moves: dict[int, list] = {x: [] for x in alphabet(lie_type, n)}
     for i, string in _letter_strings(lie_type, n):
         for eps, x in enumerate(string):
             moves[x].append((i, eps, len(string) - 1 - eps))
-    return {x: tuple(sorted(m)) for x, m in moves.items()}
+    return MappingProxyType({x: tuple(sorted(m)) for x, m in moves.items()})
 
 
 def letter_f(x: int, i: int, lie_type: str, n: int) -> int | None:

@@ -48,6 +48,7 @@ from typing import Iterable, Mapping, Sequence
 from crystalline.crystal import StableComponent, stabilized_decomposition
 from crystalline.symfunc import (
     SchurSeries,
+    _lr,
     determinant,
     lr_expand,
     s_g_series,
@@ -121,6 +122,8 @@ class GrothElement(TermMap):
     def _key(ctx: tuple, label: Label) -> Label | None:
         if label.kappa.lie_type != ctx[0]:
             raise InvalidShapeError("term type does not match element type")
+        if make_partition(label.mu) != label.mu:
+            raise InvalidShapeError(f"label part {label.mu!r} is not a partition")
         return label if ctx[1] is None or _label_size(label) <= ctx[1] else None
 
     @staticmethod
@@ -170,6 +173,16 @@ def _min_window(a: int | None, b: int | None) -> int | None:
     return b if a is None else a if b is None else min(a, b)
 
 
+def _trusted_element(
+    lie_type: str, terms: Mapping[Label, int], window: int | None = None
+) -> GrothElement:
+    """An element on labels already valid for the type, cut to the window as
+    :meth:`GrothElement._key` cuts it; nothing is validated again."""
+    if window is not None:
+        terms = {l: c for l, c in terms.items() if _label_size(l) <= window}
+    return GrothElement._trusted((lie_type, window), terms)
+
+
 def groth_basis(
     lie_type: str, mu: Sequence[int] = (), kappa: DominantShape | None = None
 ) -> GrothElement:
@@ -214,10 +227,9 @@ _POSI_POSI_CACHE: dict[tuple, tuple[int, GrothElement]] = {}
 
 
 def mul_zero_zero(lie_type: str, mu: Sequence[int], nu: Sequence[int]) -> GrothElement:
-    out: dict[Label, int] = {}
-    for sigma, c in lr_expand(mu, nu).items():
-        out[make_label(lie_type, sigma)] = c
-    return GrothElement(lie_type, out)
+    trivial = trivial_shape(lie_type)
+    out = {StableComponent(sigma, trivial): c for sigma, c in lr_expand(mu, nu).items()}
+    return _trusted_element(lie_type, out)
 
 
 def mul_zero_posi(lie_type: str, mu: Sequence[int], kappa: DominantShape) -> GrothElement:
@@ -305,11 +317,11 @@ def mul_posi_posi(
     key = (lie_type, k1.lam, k1.ell, k2.lam, k2.ell)
     cached = _POSI_POSI_CACHE.get(key)
     if cached is not None and cached[0] >= through_degree:
-        return GrothElement(lie_type, cached[1].terms, through_degree)
+        return _trusted_element(lie_type, cached[1].terms, through_degree)
     product = _basis_series(k1, through_degree) * _basis_series(k2, through_degree)
     found = _expand_in_level_basis(product, lie_type, k1.ell + k2.ell, through_degree)
-    labels = {make_label(lie_type, (), shape): c for shape, c in found.items()}
-    out = GrothElement(lie_type, labels, through_degree)
+    labels = {StableComponent((), shape): c for shape, c in found.items()}
+    out = _trusted_element(lie_type, labels, through_degree)
     _POSI_POSI_CACHE[key] = (through_degree, out)
     return out
 
@@ -323,29 +335,29 @@ def _mul_basis(
 
     # middle: dominant(left) x finite(right)
     if l_posi.ell == 0:
-        middle = GrothElement(lie_type, {make_label(lie_type, r_zero): 1})
+        middle = {StableComponent(r_zero, l_posi): 1}
     elif not r_zero:
-        middle = GrothElement(lie_type, {make_label(lie_type, (), l_posi): 1})
+        middle = {StableComponent((), l_posi): 1}
     else:
-        middle = mul_posi_zero(lie_type, l_posi, r_zero)
+        middle = mul_posi_zero(lie_type, l_posi, r_zero).terms
 
     out: dict[Label, int] = {}
-    for mid_label, m in middle.terms.items():
-        sigma_part = mul_zero_zero(lie_type, l_zero, mid_label.mu)
+    for mid_label, m in middle.items():
         mid_posi = mid_label.kappa
         if mid_posi.ell == 0:
-            right_part = GrothElement(lie_type, {make_label(lie_type, (), r_posi): 1})
+            right_part = {r_posi: 1}
         elif r_posi.ell == 0:
-            right_part = GrothElement(lie_type, {make_label(lie_type, (), mid_posi): 1})
+            right_part = {mid_posi: 1}
         else:
             if window is None:
                 raise ValueError("positive-level product needs an exactness window")
-            right_part = mul_posi_posi(lie_type, mid_posi, r_posi, window)
-        for s_label, a in sigma_part.terms.items():
-            for p_label, b in right_part.terms.items():
-                label = make_label(lie_type, s_label.mu, p_label.kappa)
+            product = mul_posi_posi(lie_type, mid_posi, r_posi, window)
+            right_part = {p_label.kappa: b for p_label, b in product.terms.items()}
+        for sigma, a in _lr(l_zero, mid_label.mu).items():
+            for kappa, b in right_part.items():
+                label = StableComponent(sigma, kappa)
                 out[label] = out.get(label, 0) + m * a * b
-    return GrothElement(lie_type, out, window)
+    return _trusted_element(lie_type, out, window)
 
 
 def _needs_window(x: GrothElement, y: GrothElement) -> bool:
@@ -403,10 +415,10 @@ def level_determinant(
         through_degree = sum(shape.lam) + 4
 
     def h(lie: str, a: int) -> GrothElement:
-        return GrothElement(lie, row_class(lie, a).terms, through_degree)
+        return _trusted_element(lie, row_class(lie, a).terms, through_degree)
 
     def hbar() -> GrothElement:
-        return GrothElement("d", barred_class().terms, through_degree)
+        return _trusted_element("d", barred_class().terms, through_degree)
 
     zero = GrothElement(lie_type, {}, through_degree)
     return type_determinant(

@@ -320,14 +320,29 @@ def determinant(matrix: Sequence[Sequence], zero):
 # the E series and spinor characters
 
 
+# E_r by (|r|, cutoff), and the alternating e product by cutoff; values are
+# immutable, so every caller shares them
+_E_TABLE: dict[tuple[int, int], SchurSeries] = {}
+_ALTERNATING_TABLE: dict[int, SchurSeries] = {}
+
+
 def cap_e(r: int, cutoff: int) -> SchurSeries:
-    """E_r = sum over i of e_i * e_{r+i}, truncated at the cutoff."""
-    total = Accumulator(zero_series(cutoff))
-    i = max(0, -r)
-    while 2 * i + r <= cutoff:
-        total.add(schur_mul(e_series(i, cutoff), e_series(r + i, cutoff)))
-        i += 1
-    return total.result()
+    """E_r = sum over i of e_i * e_{r+i}, truncated at the cutoff.
+
+    E_{-r} = E_r, and E_r starts in degree |r|, so it is zero for |r| above
+    the cutoff; the rest is built once per (|r|, cutoff) from LR products.
+    """
+    r = abs(r)
+    if r > cutoff:
+        return zero_series(cutoff)
+    series = _E_TABLE.get((r, cutoff))
+    if series is None:
+        total, i = Accumulator(zero_series(cutoff)), 0
+        while 2 * i + r <= cutoff:
+            total.add(schur_mul(e_series(i, cutoff), e_series(r + i, cutoff)))
+            i += 1
+        series = _E_TABLE[r, cutoff] = total.result()
+    return series
 
 
 def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
@@ -343,9 +358,12 @@ def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
 
 def alternating_e_product(cutoff: int) -> SchurSeries:
     """The product (sum of e_i) * (sum of (-1)^i e_i), truncated."""
-    plus = SchurSeries(cutoff, {(1,) * i: 1 for i in range(cutoff + 1)})
-    signed = SchurSeries(cutoff, {(1,) * i: (-1) ** i for i in range(cutoff + 1)})
-    return schur_mul(plus, signed)
+    series = _ALTERNATING_TABLE.get(cutoff)
+    if series is None:
+        plus = SchurSeries(cutoff, {(1,) * i: 1 for i in range(cutoff + 1)})
+        signed = SchurSeries(cutoff, {(1,) * i: (-1) ** i for i in range(cutoff + 1)})
+        series = _ALTERNATING_TABLE[cutoff] = schur_mul(plus, signed)
+    return series
 
 
 def two_column_schur(left: int, right: int, cutoff: int) -> SchurSeries:

@@ -212,6 +212,15 @@ def test_letter_strings_match_the_arrow_table_and_string_walks(lie_type):
         }
 
 
+def test_shared_letter_tables_are_read_only():
+    steps, moves = crystal._letter_steps("c", 3), crystal._letter_moves("c", 3)
+    with pytest.raises(TypeError):
+        steps["f", 1, 1] = 3
+    with pytest.raises(TypeError):
+        moves[1] = ()
+    assert steps["f", 1, 1] == 2 and moves is crystal._letter_moves("c", 3)
+
+
 def test_letter_tables_reject_a_rank_too_small_for_the_type():
     for op in (letter_f, letter_e, letter_eps, letter_phi):
         with pytest.raises(ValueError):

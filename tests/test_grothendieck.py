@@ -33,12 +33,14 @@ from crystalline.grothendieck import (
     shape_class,
     structure_constant,
 )
-from crystalline.grothendieck import _expand_in_level_basis
+from crystalline import grothendieck
+from crystalline.grothendieck import _expand_in_level_basis, _label_size
 from crystalline.symfunc import SchurSeries, lr_expand
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
     StabilizationError,
+    level_shapes,
     partitions_of,
 )
 
@@ -294,6 +296,58 @@ def test_posi_posi_direct_call_matches_mul():
     direct = mul_posi_posi("c", k1, k2, 7)
     via_mul = groth_mul(shape_class("c", (1,), 1), shape_class("c", (2,), 1), 7)
     assert direct == via_mul
+
+
+def _small_basis(lie_type, max_size=3):
+    """(size, basis element) for every label of level 0 to 2 with
+    |mu| + |lam| <= max_size."""
+    out = [(sum(mu), groth_basis(lie_type, mu)) for mu in _partitions_upto(max_size)]
+    for ell in (1, 2):
+        for kappa in level_shapes(lie_type, ell, range(max_size + 1)):
+            for mu in _partitions_upto(max_size - sum(kappa.lam)):
+                out.append((sum(mu) + sum(kappa.lam), groth_basis(lie_type, mu, kappa)))
+    return out
+
+
+def _partitions_upto(size):
+    return [mu for k in range(size + 1) for mu in partitions_of(k)]
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_trusted_products_match_validated_elements(lie_type):
+    # the products build their labels without validating them again; each
+    # result must be what the validating constructor makes of its terms.
+    # Pairs whose sizes add up to at most 3 keep the sweep to seconds.
+    basis = _small_basis(lie_type)
+    for window in (None, 4, 6):
+        for size_x, x in basis:
+            for size_y, y in basis:
+                if size_x + size_y > 3:
+                    continue
+                out = groth_mul(x, y, window)
+                assert out == GrothElement(lie_type, out.terms, out.through_degree)
+                if out.through_degree is not None:
+                    assert all(_label_size(l) <= out.through_degree for l in out.terms)
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_posi_posi_cache_answers_a_narrower_window(lie_type, monkeypatch):
+    k1 = DominantShape(lie_type, (1,), 1)
+    k2 = DominantShape(lie_type, (), 1)
+    monkeypatch.setattr(grothendieck, "_POSI_POSI_CACHE", {})
+    wide = mul_posi_posi(lie_type, k1, k2, 6)
+    assert any(_label_size(l) > 4 for l in wide.terms)
+    narrow = mul_posi_posi(lie_type, k1, k2, 4)
+    monkeypatch.setattr(grothendieck, "_POSI_POSI_CACHE", {})
+    assert narrow == mul_posi_posi(lie_type, k1, k2, 4)
+    assert narrow.through_degree == 4
+
+
+def test_element_labels_must_carry_partitions():
+    kappa = DominantShape("c", (1,), 1)
+    for mu in [(1, 2), (2, 0), (-1,)]:
+        with pytest.raises(InvalidShapeError):
+            GrothElement("c", {grothendieck.StableComponent(mu, kappa): 1})
 
 
 # ---------------------------------------------------------------------------

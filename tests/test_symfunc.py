@@ -216,19 +216,37 @@ def test_series_mechanics():
 
 
 def cap_e_closed(r: int, cutoff: int) -> SchurSeries:
-    """Independent two-column closed form of E_r."""
+    """Independent two-column closed form of E_r, with no LR product: by the
+    Pieri rule e_i * e_{r+i} is the sum of the column pairs (p, q) with
+    p + q = r + 2i and q <= i, so E_r is the multiplicity-free sum over
+    p >= q >= 0, p + q <= cutoff, p - q >= |r| and p - q = r mod 2."""
     total = zero_series(cutoff)
     rr = abs(r)
     for p in range(0, cutoff + 1):
         for q in range(0, min(p, cutoff - p) + 1):
             if p - q >= rr and (p - q - rr) % 2 == 0:
                 total = total + two_column_schur(p, q, cutoff)
+    assert set(total.coeffs.values()) <= {1}
     return total
 
 
 def test_cap_e_against_closed_form():
-    for r in range(0, 7):
-        assert cap_e(r, 10) == cap_e_closed(r, 10), r
+    for cutoff in range(0, 11):
+        for r in range(-cutoff - 2, cutoff + 3):
+            assert cap_e(r, cutoff) == cap_e_closed(r, cutoff), (r, cutoff)
+            assert cap_e(-r, cutoff) == cap_e(r, cutoff), (r, cutoff)
+
+
+def test_e_series_table_is_shared_and_bounded(monkeypatch):
+    monkeypatch.setattr(symfunc, "_E_TABLE", {})
+    monkeypatch.setattr(symfunc, "_ALTERNATING_TABLE", {})
+    for r in range(-9, 10):
+        cap_e(r, 6)
+    assert sorted(symfunc._E_TABLE) == [(r, 6) for r in range(7)]
+    assert cap_e(-3, 6) is cap_e(3, 6)
+    assert alternating_e_product(6) is alternating_e_product(6)
+    with pytest.raises(TypeError):
+        cap_e(2, 6).coeffs[(1,)] = 5
 
 
 def test_cap_e_reflection():
