@@ -120,10 +120,7 @@ def parse_dominant(text: str, lie_type: str) -> DominantShape:
         ell = int(ell_text)
     except ValueError as exc:
         raise CliError(f"cannot parse level in {text!r}") from exc
-    try:
-        return DominantShape(lie_type, parse_parts(body), ell)
-    except InvalidShapeError as exc:
-        raise CliError(str(exc)) from exc
+    return DominantShape(lie_type, parse_parts(body), ell)
 
 
 def check_type(value: str) -> str:
@@ -177,16 +174,14 @@ def cmd_enumerate(args) -> int:
     check_rank(args.rank, cap=args.max_rank)
     shape = parse_parts(args.shape)
     tableaux = enumerate_kn(shape, lie, args.rank, max_count=args.max_vertices)
-    records = []
-    for k, T in enumerate(tableaux):
-        blob = T.to_json()
-        records.append(
-            {
-                "index": k,
-                "rows": blob["rows"],
-                "weight": list(T.weight().window(args.rank)),
-            }
-        )
+    records = [
+        {
+            "index": k,
+            "rows": T.to_json()["rows"],
+            "weight": list(T.weight().window(args.rank)),
+        }
+        for k, T in enumerate(tableaux)
+    ]
     if args.format == "json":
         text = to_json_text(
             {
@@ -349,10 +344,7 @@ def suite_jt_character(args) -> list[Instance]:
         lie = check_type(args.type or "c")
         lam = parse_parts(args.shape)
         ell = args.shape_ell if args.shape_ell is not None else max(len(lam), 1)
-        try:
-            shape = DominantShape(lie, lam, ell)
-        except InvalidShapeError as exc:
-            raise CliError(str(exc)) from exc
+        shape = DominantShape(lie, lam, ell)
         instances = [(lie, shape, args.rank, truncation_shape(shape, args.rank))]
     else:
         instances = list(_bridge_instances(args))
@@ -505,38 +497,46 @@ def cmd_verify(args) -> int:
 # groth
 
 
-def _parse_groth_token(token: str, lie: str) -> GrothElement:
+def _parse_groth_token(token: str, lie: str, max_boxes: int) -> GrothElement:
+    """One term of a groth expression.  Its box count (z:b and h:a have b and
+    a, w:mu and pi:lam@ell have |mu| and |lam|, hbar:0 has 2) is held
+    against ``max_boxes`` before the term is built."""
     t = token.strip()
     if t == "1":
         return groth_one(lie)
     kind, sep, rest = t.partition(":")
     if not sep:
         raise CliError(f"cannot parse term {token!r}")
-    if kind == "h":
+    if kind in ("h", "z"):
+        what = "row width" if kind == "h" else "column height"
         try:
-            return row_class(lie, int(rest))
-        except (ValueError, InvalidShapeError) as exc:
-            raise CliError(f"bad row width in {token!r}") from exc
-    if kind == "hbar":
+            boxes = int(rest)
+        except ValueError as exc:
+            raise CliError(f"bad {what} in {token!r}") from exc
+    elif kind == "hbar":
         if rest != "0":
             raise CliError("the barred row class exists only at width 0")
         if lie != "d":
             raise CliError("the barred row class needs --type d")
-        return barred_class()
-    if kind == "z":
+        boxes = 2
+    elif kind in ("w", "pi"):
+        boxes = sum(parse_parts(rest.rpartition("@")[0] if kind == "pi" else rest))
+    else:
+        raise CliError(f"unknown term kind {kind!r} in {token!r}")
+    if boxes > max_boxes:
+        raise ResourceCapError(
+            f"{boxes} boxes in term {t!r} exceed --max-degree {max_boxes}"
+        )
+    if kind in ("h", "z"):
         try:
-            return column_class(lie, int(rest))
-        except (ValueError, InvalidShapeError) as exc:
-            raise CliError(f"bad column height in {token!r}") from exc
-    if kind == "w":
-        parts = parse_parts(rest)
-        try:
-            return groth_basis(lie, parts)
+            return (row_class if kind == "h" else column_class)(lie, boxes)
         except InvalidShapeError as exc:
-            raise CliError(str(exc)) from exc
-    if kind == "pi":
-        return groth_basis(lie, (), parse_dominant(rest, lie))
-    raise CliError(f"unknown term kind {kind!r} in {token!r}")
+            raise CliError(f"bad {what} in {token!r}") from exc
+    if kind == "hbar":
+        return barred_class()
+    if kind == "w":
+        return groth_basis(lie, parse_parts(rest))
+    return groth_basis(lie, (), parse_dominant(rest, lie))
 
 
 def cmd_groth(args) -> int:
@@ -550,12 +550,10 @@ def cmd_groth(args) -> int:
     tokens = [t for t in args.expr.split("*") if t.strip()]
     if not tokens:
         raise CliError("empty expression")
-    try:
-        product = _parse_groth_token(tokens[0], lie)
-        for token in tokens[1:]:
-            product = groth_mul(product, _parse_groth_token(token, lie), args.degree)
-    except InvalidShapeError as exc:
-        raise CliError(str(exc)) from exc
+    terms = [_parse_groth_token(token, lie, args.max_degree) for token in tokens]
+    product = terms[0]
+    for term in terms[1:]:
+        product = groth_mul(product, term, args.degree)
     sides = {}
     if args.side in ("K", "both"):
         sides["ring"] = product

@@ -32,6 +32,7 @@ multiset must agree between ranks n and n+1, with escalation on mismatch.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -536,12 +537,7 @@ def tensor_highest_weights(
 def hw_decompose_tensor(left, right) -> dict[tuple[int, ...], int]:
     """Multiset of rank-n source weights of a tensor of two crystals."""
     pairs = tensor_highest_weights(left, right)
-    out: dict[tuple[int, ...], int] = {}
-    for x, y in pairs:
-        n = x.rank
-        window = (x.weight() + y.weight()).window(n)
-        out[window] = out.get(window, 0) + 1
-    return out
+    return dict(Counter((x.weight() + y.weight()).window(x.rank) for x, y in pairs))
 
 
 # ---------------------------------------------------------------------------

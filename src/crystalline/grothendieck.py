@@ -42,8 +42,8 @@ import json
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Iterable, Mapping, Sequence
 
 from crystalline.crystal import StableComponent, stabilized_decomposition
 from crystalline.symfunc import (
@@ -59,6 +59,7 @@ from crystalline.termmap import Accumulator, TermMap, show_terms
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
+    Partition,
     StabilizationError,
     check_lie_type,
     conjugate,
@@ -222,8 +223,28 @@ def shape_class(lie_type: str, lam: Sequence[int], ell: int) -> GrothElement:
 # basis products
 
 
-_POSI_ZERO_CACHE: dict[tuple, GrothElement] = {}
-_POSI_POSI_CACHE: dict[tuple, tuple[int, GrothElement]] = {}
+def _widest_window(cut: Callable) -> Callable:
+    """Memo for ``build(*key, window)``: each key holds one entry, built at
+    the widest window asked so far.  A wider ask rebuilds it; a narrower one
+    is ``cut(entry, window)``, which equals a build at that window, since
+    truncating a series in degree is a ring map and a product exact through
+    a window holds every coefficient of one exact through a narrower one."""
+
+    def wrap(build: Callable) -> Callable:
+        table: dict = {}
+
+        @wraps(build)
+        def memo(*args):
+            key, window = args[:-1], args[-1]
+            held = table.get(key)
+            if held is None or held[0] < window:
+                held = table[key] = (window, build(*args))
+            return held[1] if held[0] == window else cut(held[1], window)
+
+        memo.cache_clear = table.clear
+        return memo
+
+    return wrap
 
 
 def mul_zero_zero(lie_type: str, mu: Sequence[int], nu: Sequence[int]) -> GrothElement:
@@ -239,19 +260,19 @@ def mul_zero_posi(lie_type: str, mu: Sequence[int], kappa: DominantShape) -> Gro
 
 def mul_posi_zero(lie_type: str, kappa: DominantShape, mu: Sequence[int]) -> GrothElement:
     """Dominant class times finite-support class by stabilized scans."""
-    key = (lie_type, kappa.lam, kappa.ell, make_partition(mu))
-    if key not in _POSI_ZERO_CACHE:
-        scan = stabilized_decomposition(
-            make_label(lie_type, (), kappa), make_label(lie_type, mu)
-        )
-        _POSI_ZERO_CACHE[key] = GrothElement(lie_type, scan)
-    return _POSI_ZERO_CACHE[key]
+    return _posi_zero(lie_type, kappa, make_partition(mu))
+
+
+@lru_cache(maxsize=None)
+def _posi_zero(lie_type: str, kappa: DominantShape, mu: Partition) -> GrothElement:
+    left, right = make_label(lie_type, (), kappa), make_label(lie_type, mu)
+    return GrothElement(lie_type, stabilized_decomposition(left, right))
 
 
 # dominant x dominant through character series ------------------------------
 
 
-@lru_cache(maxsize=None)
+@_widest_window(SchurSeries.truncate)
 def _basis_series(shape: DominantShape, cutoff: int) -> SchurSeries:
     """Character series of a basis shape with its leading term asserted.
 
@@ -314,16 +335,19 @@ def mul_posi_posi(
     The result is an infinite series in general; the returned element
     carries the window and stores every coefficient inside it.
     """
-    key = (lie_type, k1.lam, k1.ell, k2.lam, k2.ell)
-    cached = _POSI_POSI_CACHE.get(key)
-    if cached is not None and cached[0] >= through_degree:
-        return _trusted_element(lie_type, cached[1].terms, through_degree)
-    product = _basis_series(k1, through_degree) * _basis_series(k2, through_degree)
-    found = _expand_in_level_basis(product, lie_type, k1.ell + k2.ell, through_degree)
+    return _posi_posi(lie_type, k1, k2, through_degree)
+
+
+@_widest_window(
+    lambda held, window: _trusted_element(held.lie_type, held.terms, window)
+)
+def _posi_posi(
+    lie_type: str, k1: DominantShape, k2: DominantShape, window: int
+) -> GrothElement:
+    product = _basis_series(k1, window) * _basis_series(k2, window)
+    found = _expand_in_level_basis(product, lie_type, k1.ell + k2.ell, window)
     labels = {StableComponent((), shape): c for shape, c in found.items()}
-    out = _trusted_element(lie_type, labels, through_degree)
-    _POSI_POSI_CACHE[key] = (through_degree, out)
-    return out
+    return _trusted_element(lie_type, labels, window)
 
 
 def _mul_basis(
@@ -406,7 +430,7 @@ def level_determinant(
     Expresses the dominant class of the shape as the determinant in one
     row classes, whose expansion telescopes back to the single class
     inside the window.  Entries with negative index resolve per type (see
-    :func:`_row_entry`); the even orthogonal shapes shorter or taller than
+    :func:`_row_determinant`); the even orthogonal shapes shorter or taller than
     the level take halved corrections by (H_0 - Hbar_0) times the
     symplectic-style determinant one level down.
     """
@@ -421,39 +445,37 @@ def level_determinant(
         return _trusted_element("d", barred_class().terms, through_degree)
 
     zero = GrothElement(lie_type, {}, through_degree)
-    return type_determinant(
-        shape,
-        lambda r, flavor: _row_entry(r, flavor, lie_type, h, hbar, zero),
-        zero,
-        groth_one(lie_type),
-        lambda: h("d", 0) - hbar(),
-    )
+    return _row_determinant(shape, h, hbar, zero, groth_one(lie_type))
 
 
-def _row_entry(index: int, flavor: str, lie_type: str, h, hbar, zero):
-    """Entry H_index of a level determinant in the row generators h(lie_type, a).
+def _row_determinant(shape: DominantShape, h, hbar, zero, one):
+    """The level determinant of a shape in the row generators ``h(lie_type,
+    a)`` and ``hbar()`` of a ring whose zero and one are given.
 
-    Negative indices resolve per type: symplectic H_{-1} = 0 and
+    Entries H_r with negative r resolve per type: symplectic H_{-1} = 0 and
     H_{-r} = -H_{r-2}; odd orthogonal H_{-r} = H_{r-1}; even orthogonal
     H_{-r} = H_r with the index-zero entry standing for H_0 + Hbar_0.  The
     prime flavor inside the even orthogonal type is the difference of two
     plain entries, mirroring the series flavor E'_r = E_r - E_{r+2}.
     """
-    if lie_type == "d" and flavor == "prime":
-        return _row_entry(index, "plain", "d", h, hbar, zero) - _row_entry(
-            index + 2, "plain", "d", h, hbar, zero
-        )
-    if lie_type == "c":
-        if index >= 0:
-            return h("c", index)
-        if index == -1:
-            return zero
-        return h("c", -index - 2).scale(-1)
-    if lie_type == "b":
-        return h("b", index if index >= 0 else -index - 1)
-    if index == 0:
-        return h("d", 0) + hbar()
-    return h("d", abs(index))
+    lie_type = shape.lie_type
+
+    def entry(index: int, flavor: str):
+        if lie_type == "d" and flavor == "prime":
+            return entry(index, "plain") - entry(index + 2, "plain")
+        if lie_type == "c":
+            if index >= 0:
+                return h("c", index)
+            if index == -1:
+                return zero
+            return h("c", -index - 2).scale(-1)
+        if lie_type == "b":
+            return h("b", index if index >= 0 else -index - 1)
+        if index == 0:
+            return h("d", 0) + hbar()
+        return h("d", abs(index))
+
+    return type_determinant(shape, entry, zero, one, lambda: h("d", 0) - hbar())
 
 
 def structure_constant(
@@ -489,13 +511,8 @@ def structure_constant(
     else:
         widths = mu
         barred = 0
-    key = "{}|{}|{}|{}@{}".format(
-        lie_type,
-        m,
-        ",".join(map(str, mu)) or "-",
-        ",".join(map(str, target.lam)) or "-",
-        target.ell,
-    )
+    mu_text, lam_text = (",".join(map(str, p)) or "-" for p in (mu, target.lam))
+    key = f"{lie_type}|{m}|{mu_text}|{lam_text}@{target.ell}"
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
@@ -751,27 +768,19 @@ def psi_zero(lie_type: str, mu: Sequence[int]) -> AElement:
     if not mu:
         return a_one(lie_type)
     heights = conjugate(mu)
-    size = len(heights)
-    matrix = []
-    for i in range(1, size + 1):
-        row = []
-        for j in range(1, size + 1):
-            idx = heights[i - 1] - i + j
-            row.append(a_z(lie_type, idx) if idx >= 0 else AElement(lie_type))
-        matrix.append(row)
-    return determinant(matrix, AElement(lie_type))
+    size, zero = len(heights), AElement(lie_type)
+    # row i, column j (from 0) holds z_{heights[i] - i + j}, zero below index 0
+    matrix = [
+        [a_z(lie_type, h - i + j) if h - i + j >= 0 else zero for j in range(size)]
+        for i, h in enumerate(heights)
+    ]
+    return determinant(matrix, zero)
 
 
 def psi_plus(kappa: DominantShape) -> AElement:
     """Dominant classes as row polynomials by the level determinant."""
-    zero = AElement(kappa.lie_type)
-    return type_determinant(
-        kappa,
-        lambda r, flavor: _row_entry(r, flavor, kappa.lie_type, a_h, a_hbar, zero),
-        zero,
-        a_one(kappa.lie_type),
-        lambda: a_h("d", 0) - a_hbar(),
-    )
+    lie_type = kappa.lie_type
+    return _row_determinant(kappa, a_h, a_hbar, AElement(lie_type), a_one(lie_type))
 
 
 def psi(x: GrothElement) -> AElement:

@@ -19,6 +19,7 @@ x_{n+1} = x_{n+2} = ... = 0 and converts each power of t into
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
 from operator import add
 from types import MappingProxyType
@@ -41,6 +42,7 @@ from crystalline.weights import (
     check_lie_type,
     conjugate,
     make_partition,
+    partitions_of,
 )
 
 
@@ -50,8 +52,6 @@ class CutoffMismatchError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson rule
-
-_LR_CACHE: dict[tuple[Partition, Partition], Mapping[Partition, int]] = {}
 
 
 def lr_expand(lam: Sequence[int], mu: Sequence[int]) -> Mapping[Partition, int]:
@@ -65,13 +65,10 @@ def lr_expand(lam: Sequence[int], mu: Sequence[int]) -> Mapping[Partition, int]:
     return _lr(make_partition(lam), make_partition(mu))
 
 
+@lru_cache(maxsize=None)
 def _lr(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     """:func:`lr_expand` on arguments that are already partitions."""
-    key = (lam, mu)
-    table = _LR_CACHE.get(key)
-    if table is None:
-        table = _LR_CACHE[key] = MappingProxyType(_lr_cheapest(lam, mu))
-    return table
+    return MappingProxyType(_lr_cheapest(lam, mu))
 
 
 def _lr_cheapest(lam: Partition, mu: Partition) -> dict[Partition, int]:
@@ -320,12 +317,6 @@ def determinant(matrix: Sequence[Sequence], zero):
 # the E series and spinor characters
 
 
-# E_r by (|r|, cutoff), and the alternating e product by cutoff; values are
-# immutable, so every caller shares them
-_E_TABLE: dict[tuple[int, int], SchurSeries] = {}
-_ALTERNATING_TABLE: dict[int, SchurSeries] = {}
-
-
 def cap_e(r: int, cutoff: int) -> SchurSeries:
     """E_r = sum over i of e_i * e_{r+i}, truncated at the cutoff.
 
@@ -335,14 +326,16 @@ def cap_e(r: int, cutoff: int) -> SchurSeries:
     r = abs(r)
     if r > cutoff:
         return zero_series(cutoff)
-    series = _E_TABLE.get((r, cutoff))
-    if series is None:
-        total, i = Accumulator(zero_series(cutoff)), 0
-        while 2 * i + r <= cutoff:
-            total.add(schur_mul(e_series(i, cutoff), e_series(r + i, cutoff)))
-            i += 1
-        series = _E_TABLE[r, cutoff] = total.result()
-    return series
+    return _cap_e(r, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _cap_e(r: int, cutoff: int) -> SchurSeries:
+    total, i = Accumulator(zero_series(cutoff)), 0
+    while 2 * i + r <= cutoff:
+        total.add(schur_mul(e_series(i, cutoff), e_series(r + i, cutoff)))
+        i += 1
+    return total.result()
 
 
 def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
@@ -358,12 +351,14 @@ def cap_e_variant(r: int, flavor: str, cutoff: int) -> SchurSeries:
 
 def alternating_e_product(cutoff: int) -> SchurSeries:
     """The product (sum of e_i) * (sum of (-1)^i e_i), truncated."""
-    series = _ALTERNATING_TABLE.get(cutoff)
-    if series is None:
-        plus = SchurSeries(cutoff, {(1,) * i: 1 for i in range(cutoff + 1)})
-        signed = SchurSeries(cutoff, {(1,) * i: (-1) ** i for i in range(cutoff + 1)})
-        series = _ALTERNATING_TABLE[cutoff] = schur_mul(plus, signed)
-    return series
+    return _alternating_e_product(cutoff)
+
+
+@lru_cache(maxsize=None)
+def _alternating_e_product(cutoff: int) -> SchurSeries:
+    plus = SchurSeries(cutoff, {(1,) * i: 1 for i in range(cutoff + 1)})
+    signed = SchurSeries(cutoff, {(1,) * i: (-1) ** i for i in range(cutoff + 1)})
+    return schur_mul(plus, signed)
 
 
 def two_column_schur(left: int, right: int, cutoff: int) -> SchurSeries:
@@ -662,8 +657,6 @@ def sigma_char(shape: Sequence[int], lie_type: str, n: int) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Schur polynomials at rank n and the specialization bridge
 
-_SSYT_CACHE: dict[tuple[Partition, int], LaurentPoly] = {}
-
 
 def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
     """s_lam(x_1..x_n) by the branching rule, memoized.
@@ -679,19 +672,10 @@ def schur_poly(lam: Sequence[int], n: int) -> LaurentPoly:
     return _schur_poly(make_partition(lam), n)
 
 
+@lru_cache(maxsize=None)
 def _schur_poly(lam: Partition, n: int) -> LaurentPoly:
-    key = (lam, n)
-    poly = _SSYT_CACHE.get(key)
-    if poly is None:
-        poly = _SSYT_CACHE[key] = LaurentPoly._trusted((n,), _branching_terms(lam, n))
-    return poly
-
-
-def _branching_terms(lam: Partition, n: int) -> dict[tuple, int]:
-    if len(lam) > n:
-        return {}
-    if n == 0:
-        return {(): 1}
+    if len(lam) > n or n == 0:
+        return LaurentPoly._trusted((n,), {} if lam else {(): 1})
     padded = lam + (0,) * (n - len(lam))
     size = sum(lam)
     terms: dict[tuple, int] = {}
@@ -702,7 +686,7 @@ def _branching_terms(lam: Partition, n: int) -> dict[tuple, int]:
         for exp, c in _schur_poly(mu, n - 1).terms.items():
             exp += last
             terms[exp] = terms.get(exp, 0) + c
-    return terms
+    return LaurentPoly._trusted((n,), terms)
 
 
 def laurent_specialize(f: SchurSeries, n: int) -> LaurentPoly:
@@ -727,20 +711,24 @@ def laurent_specialize(f: SchurSeries, n: int) -> LaurentPoly:
 def monomials_to_schur(poly: LaurentPoly) -> dict[Partition, int]:
     """Expand a symmetric polynomial with non-negative exponents in Schur terms.
 
-    Peels the lexicographically greatest sorted exponent vector; requires the
-    input to be genuinely symmetric, otherwise the peel leaves a remainder
-    and a ValueError is raised.
+    Sweeps each degree present through the partitions with at most ``nvars``
+    parts in decreasing lexicographic order, peeling s_lam by the
+    coefficient of x^lam: s_mu has no x^lam term unless mu dominates lam, so
+    that coefficient is final once every larger partition is peeled.  A
+    remainder means the input is not symmetric, and a ValueError is raised.
     """
+    n = poly.nvars
+    if n and min(map(min, poly.terms), default=0) < 0:
+        raise ValueError("monomial expansion expects non-negative exponents")
     remaining = Accumulator(poly)
     out: dict[Partition, int] = {}
-    while remaining.terms:
-        best = max(tuple(sorted(e, reverse=True)) for e in remaining.terms)
-        if any(v < 0 for v in best):
-            raise ValueError("monomial expansion expects non-negative exponents")
-        lam = make_partition(best)
-        coeff = remaining.terms.get(best + (0,) * (poly.nvars - len(best)), 0)
-        if coeff == 0:
-            raise ValueError("input is not symmetric in its variables")
-        remaining.add(schur_poly(lam, poly.nvars), -coeff)
-        out[lam] = out.get(lam, 0) + coeff
-    return {l: c for l, c in out.items() if c != 0}
+    for d in sorted(set(map(sum, poly.terms))):
+        # the conjugates of the partitions with parts at most n
+        for lam in sorted(map(_transpose, partitions_of(d, n)), reverse=True):
+            coeff = remaining.terms.get(lam + (0,) * (n - len(lam)), 0)
+            if coeff:
+                remaining.add(_schur_poly(lam, n), -coeff)
+                out[lam] = coeff
+    if remaining.terms:
+        raise ValueError("input is not symmetric in its variables")
+    return out

@@ -640,8 +640,10 @@ def _column_fillings(
 
     Enumeration goes column by column from the left, pruning by column
     admissibility (and the full-column parity rule when it applies) before
-    filtering adjacent columns through the two-column rules.  Raises
-    ResourceCapError when more than max_count fillings accumulate.
+    filtering adjacent columns through the two-column rules.  The walk keeps
+    one iterator of options per column on an explicit stack, so a shape of
+    any width fits.  Raises ResourceCapError when more than max_count
+    fillings accumulate.
     """
     heights = conjugate(_abs_shape(signed))
     last = _full_row_count(signed, lie_type, n)
@@ -651,17 +653,18 @@ def _column_fillings(
     # appears on the left.
     followers: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
     results: list[tuple[tuple[int, ...], ...]] = []
-
-    def extend(j: int, chosen: list[tuple[int, ...]]) -> None:
+    chosen: list[tuple[int, ...]] = []
+    stack: list[Iterator[tuple[int, ...]]] = []
+    while True:
+        j = len(chosen)
         if j == len(heights):
             if len(results) >= max_count:
                 raise ResourceCapError(
                     f"more than {max_count} fillings of shape {signed} at rank {n}"
                 )
             results.append(tuple(chosen))
-            return
-        if j == 0:
-            options = candidates[0]
+        elif j == 0:
+            stack.append(iter(candidates[0]))
         else:
             left = chosen[-1]
             table = followers.setdefault((heights[j - 1], heights[j]), {})
@@ -672,13 +675,18 @@ def _column_fillings(
                     for col in candidates[j]
                     if _columns_compatible(left, col, lie_type, n)
                 ]
-        for col in options:
-            chosen.append(col)
-            extend(j + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
-    return results
+            stack.append(iter(options))
+        # the next untried column, backing up past exhausted ones
+        while stack:
+            if len(chosen) == len(stack):
+                chosen.pop()
+            col = next(stack[-1], None)
+            if col is not None:
+                chosen.append(col)
+                break
+            stack.pop()
+        else:
+            return results
 
 
 # ---------------------------------------------------------------------------

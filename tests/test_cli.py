@@ -301,8 +301,12 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
         return stabilized_decomposition(left, right, n_start=2, max_escalations=0)
 
     monkeypatch.setattr(grothendieck, "stabilized_decomposition", low)
-    monkeypatch.setattr(grothendieck, "_POSI_ZERO_CACHE", {})
-    code, out, err = run(capsys, "groth", "pi:1@1*w:1", "--type", "b")
+    # no scan answered before, or by, the patched decomposition may stay
+    grothendieck._posi_zero.cache_clear()
+    try:
+        code, out, err = run(capsys, "groth", "pi:1@1*w:1", "--type", "b")
+    finally:
+        grothendieck._posi_zero.cache_clear()
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("resource cap: decomposition did not stabilize by rank 4;")
@@ -353,6 +357,29 @@ def test_malformed_input_exits_2_with_one_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+CAPPED = [
+    # a shape wider than the interpreter's recursion limit
+    ("enumerate", "--type", "c", "--rank", "1", "--shape", "1500", "--max-vertices", "5"),
+    # a term with more boxes than --max-degree, refused before it is built
+    ("groth", "h:1*z:11", "--type", "c"),
+]
+
+
+@pytest.mark.parametrize("argv", CAPPED, ids=" ".join)
+def test_capped_input_exits_3_with_one_line(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalline.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("resource cap: "), proc.stderr
 
 
 def test_unwritable_output_names_the_path(capsys, tmp_path):

@@ -35,7 +35,7 @@ from crystalline.grothendieck import (
 )
 from crystalline import grothendieck
 from crystalline.grothendieck import _expand_in_level_basis, _label_size
-from crystalline.symfunc import SchurSeries, lr_expand
+from crystalline.symfunc import SchurSeries, lr_expand, s_g_series
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
@@ -331,16 +331,36 @@ def test_trusted_products_match_validated_elements(lie_type):
 
 
 @pytest.mark.parametrize("lie_type", ["b", "c", "d"])
-def test_posi_posi_cache_answers_a_narrower_window(lie_type, monkeypatch):
+def test_posi_posi_cache_answers_a_narrower_window(lie_type):
     k1 = DominantShape(lie_type, (1,), 1)
     k2 = DominantShape(lie_type, (), 1)
-    monkeypatch.setattr(grothendieck, "_POSI_POSI_CACHE", {})
+    grothendieck._posi_posi.cache_clear()
     wide = mul_posi_posi(lie_type, k1, k2, 6)
     assert any(_label_size(l) > 4 for l in wide.terms)
     narrow = mul_posi_posi(lie_type, k1, k2, 4)
-    monkeypatch.setattr(grothendieck, "_POSI_POSI_CACHE", {})
+    grothendieck._posi_posi.cache_clear()
     assert narrow == mul_posi_posi(lie_type, k1, k2, 4)
     assert narrow.through_degree == 4
+
+
+def test_basis_series_cuts_a_narrower_cutoff_from_the_widest(monkeypatch):
+    shape = DominantShape("c", (1,), 2)
+    built = []
+
+    def counted(kappa, cutoff):
+        built.append(cutoff)
+        return s_g_series(kappa, cutoff)
+
+    monkeypatch.setattr(grothendieck, "s_g_series", counted)
+    grothendieck._basis_series.cache_clear()
+    grothendieck._basis_series(shape, 8)
+    narrow = grothendieck._basis_series(shape, 6)
+    assert built == [8]
+    assert narrow == s_g_series(shape, 6)
+    grothendieck._basis_series.cache_clear()
+    grothendieck._basis_series(shape, 6)
+    assert grothendieck._basis_series(shape, 8) == s_g_series(shape, 8)
+    assert built == [8, 6, 8]
 
 
 def test_element_labels_must_carry_partitions():

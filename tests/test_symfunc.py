@@ -237,14 +237,17 @@ def test_cap_e_against_closed_form():
             assert cap_e(-r, cutoff) == cap_e(r, cutoff), (r, cutoff)
 
 
-def test_e_series_table_is_shared_and_bounded(monkeypatch):
-    monkeypatch.setattr(symfunc, "_E_TABLE", {})
-    monkeypatch.setattr(symfunc, "_ALTERNATING_TABLE", {})
+def test_e_series_table_is_shared_and_bounded():
+    symfunc._cap_e.cache_clear()
+    symfunc._alternating_e_product.cache_clear()
     for r in range(-9, 10):
         cap_e(r, 6)
-    assert sorted(symfunc._E_TABLE) == [(r, 6) for r in range(7)]
+    # E_r = 0 for |r| > 6 is not stored, and E_{-r} is the entry of E_r
+    assert symfunc._cap_e.cache_info().currsize == 7
+    assert symfunc._cap_e.cache_info().misses == 7
     assert cap_e(-3, 6) is cap_e(3, 6)
     assert alternating_e_product(6) is alternating_e_product(6)
+    assert symfunc._alternating_e_product.cache_info().misses == 1
     with pytest.raises(TypeError):
         cap_e(2, 6).coeffs[(1,)] = 5
 
@@ -514,7 +517,7 @@ def ssyt_terms(lam, n) -> dict:
 
 
 def test_branching_schur_poly_matches_tableau_listing():
-    symfunc._SSYT_CACHE.clear()
+    symfunc._schur_poly.cache_clear()
     checked = 0
     for n in range(0, 7):
         for size in range(0, 9):
@@ -531,13 +534,20 @@ def test_branching_schur_poly_matches_tableau_listing():
 
 
 def test_branching_schur_poly_caches_its_intermediate_shapes():
-    symfunc._SSYT_CACHE.clear()
+    symfunc._schur_poly.cache_clear()
     top = schur_poly((2, 1), 3)
-    # the cells holding 3 come off (2, 1) leaving the shapes interlacing it
-    below = {lam for lam, n in symfunc._SSYT_CACHE if n == 2}
-    assert {(2, 1), (2,), (1, 1), (1,)} <= below
+    built = symfunc._schur_poly.cache_info().currsize
+    # the cells holding 3 come off (2, 1) leaving the shapes interlacing it,
+    # and each of them is now a hit that builds nothing
+    for lam in [(2, 1), (2,), (1, 1), (1,)]:
+        hits = symfunc._schur_poly.cache_info().hits
+        schur_poly(lam, 2)
+        assert symfunc._schur_poly.cache_info().hits == hits + 1, lam
     assert schur_poly([2, 1, 0], 3) is top
-    assert symfunc._SSYT_CACHE[((1,), 1)] == LaurentPoly.monomial(1, (1,))
+    assert symfunc._schur_poly.cache_info().currsize == built
+    hits = symfunc._schur_poly.cache_info().hits
+    assert schur_poly((1,), 1) == LaurentPoly.monomial(1, (1,))
+    assert symfunc._schur_poly.cache_info().hits == hits + 1
 
 
 def test_laurent_specialize_basics():
@@ -557,8 +567,10 @@ def test_monomials_to_schur_roundtrip():
             total = total + schur_poly(lam, 3).scale(c)
         peeled = monomials_to_schur(total)
         assert peeled == {l: c for l, c in weights.items()}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not symmetric"):
         monomials_to_schur(LaurentPoly.monomial(2, (2, 1)))
+    with pytest.raises(ValueError, match="non-negative"):
+        monomials_to_schur(schur_poly((1,), 2) + LaurentPoly.monomial(2, (-1, 0)))
 
 
 def test_determinant_basics():

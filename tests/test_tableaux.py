@@ -364,6 +364,11 @@ def test_enumeration_cap():
         enumerate_kn((1,), "b", 2, max_count=3)
 
 
+def test_enumeration_walks_shapes_wider_than_the_recursion_limit():
+    # one column per box: x barred 1s then 1s, for x = 0..1500
+    assert len(enumerate_kn((1500,), "c", 1)) == 1501
+
+
 # ---------------------------------------------------------------------------
 # the determinant-character sweep (the adjudicating oracle)
 
