@@ -96,19 +96,16 @@ def parse_parts(text: str) -> tuple[int, ...]:
         raise CliError(f"cannot parse shape {text!r}") from exc
 
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> range:
     """Either a single integer or an inclusive 'lo..hi' range."""
-    t = text.strip()
+    lo, sep, hi = text.strip().partition("..")
     try:
-        if ".." in t:
-            lo, hi = t.split("..", 1)
-            lo_i, hi_i = int(lo), int(hi)
-            if hi_i < lo_i:
-                raise CliError(f"empty range {text!r}")
-            return list(range(lo_i, hi_i + 1))
-        return [int(t)]
+        values = range(int(lo), int(hi if sep else lo) + 1)
     except ValueError as exc:
         raise CliError(f"cannot parse range {text!r}") from exc
+    if not values:
+        raise CliError(f"empty range {text!r}")
+    return values
 
 
 def parse_dominant(text: str, lie_type: str) -> DominantShape:
@@ -129,13 +126,19 @@ def check_type(value: str) -> str:
     return value
 
 
-def check_rank(rank: int, minimum: int = 1, cap: int | None = None) -> None:
-    """A rank below the minimum is a usage error, one above the cap a
-    resource cap."""
-    if rank < minimum:
-        raise CliError(f"--rank must be at least {minimum}, not {rank}")
-    if cap is not None and rank > cap:
-        raise ResourceCapError(f"rank {rank} exceeds --max-rank {cap}")
+def check_limits(args, minimums=(), caps=()) -> None:
+    """First each (flag, minimum) of ``minimums`` whose value in args is
+    lower, a usage error; then each (what, value, cap) of ``caps`` whose
+    value is higher than args' --max-<cap>, a resource cap.  So a usage
+    error is reported before a cap, and either as one line."""
+    for flag, minimum in minimums:
+        value = getattr(args, flag)
+        if value < minimum:
+            raise CliError(f"--{flag} must be at least {minimum}, not {value}")
+    for what, value, cap in caps:
+        limit = getattr(args, f"max_{cap}")
+        if value > limit:
+            raise ResourceCapError(f"{what} {value} exceeds --max-{cap} {limit}")
 
 
 def _open_output(path: str, mode: str):
@@ -171,7 +174,7 @@ def to_json_text(obj) -> str:
 
 def cmd_enumerate(args) -> int:
     lie = check_type(args.type)
-    check_rank(args.rank, cap=args.max_rank)
+    check_limits(args, [("rank", 1)], [("rank", args.rank, "rank")])
     shape = parse_parts(args.shape)
     tableaux = enumerate_kn(shape, lie, args.rank, max_count=args.max_vertices)
     records = [
@@ -192,7 +195,7 @@ def cmd_enumerate(args) -> int:
                 "tableaux": records,
             }
         )
-    elif args.format == "csv":
+    else:
         rows = [
             (
                 r["index"],
@@ -202,8 +205,6 @@ def cmd_enumerate(args) -> int:
             for r in records
         ]
         text = rows_to_csv(("index", "rows", "weight"), rows)
-    else:
-        raise CliError("enumerate supports --format json or csv")
     emit(text, args.output)
     return EXIT_OK
 
@@ -215,7 +216,8 @@ def cmd_enumerate(args) -> int:
 def cmd_graph(args) -> int:
     lie = check_type(args.type)
     # the type d letter crystal needs both middle arrows, so rank 2 or more
-    check_rank(args.rank, 2 if lie == "d" else 1, args.max_rank)
+    rank_floor = 2 if lie == "d" else 1
+    check_limits(args, [("rank", rank_floor)], [("rank", args.rank, "rank")])
     shape = parse_parts(args.shape)
     seed = t_lambda(shape, lie, args.rank)
     graph = build_graph(seed, max_vertices=args.max_vertices)
@@ -231,10 +233,8 @@ def cmd_graph(args) -> int:
                 "edges": [list(e) for e in graph.edges()],
             }
         )
-    elif args.format == "csv":
-        text = rows_to_csv(("source", "arrow", "target"), graph.edges())
     else:
-        raise CliError("graph supports --format dot, json, or csv")
+        text = rows_to_csv(("source", "arrow", "target"), graph.edges())
     emit(text, args.output)
     return EXIT_OK
 
@@ -463,18 +463,15 @@ def cmd_verify(args) -> int:
         known = ", ".join(sorted(set(VERIFY_SUITES) - {"psi"}))
         sys.stderr.write(f"unknown identity {args.identity!r}; known: {known}\n")
         return EXIT_USAGE
-    check_rank(args.rank)
-    for flag, value, minimum in (
-        ("--degree", args.degree, 0), ("--ell", args.ell, 1), ("--lam", args.lam, 0)
-    ):
-        if value < minimum:
-            raise CliError(f"{flag} must be at least {minimum}, not {value}")
-    if args.degree > args.max_degree:
-        raise ResourceCapError(
-            f"--degree {args.degree} exceeds --max-degree {args.max_degree}"
-        )
-    if args.rank > args.max_rank:
-        raise ResourceCapError(f"--rank {args.rank} exceeds --max-rank {args.max_rank}")
+    # each --a/--b/--c value counts boxes, so it is held against --max-degree
+    # before any instance runs
+    ranges = [(f"--{flag}", parse_range(getattr(args, flag))) for flag in "abc"]
+    check_limits(
+        args,
+        [("rank", 1), ("degree", 0), ("ell", 1), ("lam", 0)],
+        [("--degree", args.degree, "degree"), ("rank", args.rank, "rank")]
+        + [(flag, values[-1], "degree") for flag, values in ranges],
+    )
     lines = []
     results = VERIFY_SUITES[args.identity](args)
     failures = 0
@@ -497,10 +494,10 @@ def cmd_verify(args) -> int:
 # groth
 
 
-def _parse_groth_token(token: str, lie: str, max_boxes: int) -> GrothElement:
+def _parse_groth_token(token: str, lie: str, args) -> GrothElement:
     """One term of a groth expression.  Its box count (z:b and h:a have b and
     a, w:mu and pi:lam@ell have |mu| and |lam|, hbar:0 has 2) is held
-    against ``max_boxes`` before the term is built."""
+    against --max-degree before the term is built."""
     t = token.strip()
     if t == "1":
         return groth_one(lie)
@@ -523,10 +520,7 @@ def _parse_groth_token(token: str, lie: str, max_boxes: int) -> GrothElement:
         boxes = sum(parse_parts(rest.rpartition("@")[0] if kind == "pi" else rest))
     else:
         raise CliError(f"unknown term kind {kind!r} in {token!r}")
-    if boxes > max_boxes:
-        raise ResourceCapError(
-            f"{boxes} boxes in term {t!r} exceed --max-degree {max_boxes}"
-        )
+    check_limits(args, caps=[(f"term {t!r} box count", boxes, "degree")])
     if kind in ("h", "z"):
         try:
             return (row_class if kind == "h" else column_class)(lie, boxes)
@@ -541,16 +535,12 @@ def _parse_groth_token(token: str, lie: str, max_boxes: int) -> GrothElement:
 
 def cmd_groth(args) -> int:
     lie = check_type(args.type)
-    if args.degree is not None and args.degree < 0:
-        raise CliError(f"--degree must be nonnegative, not {args.degree}")
-    if args.degree is not None and args.degree > args.max_degree:
-        raise ResourceCapError(
-            f"--degree {args.degree} exceeds --max-degree {args.max_degree}"
-        )
+    if args.degree is not None:
+        check_limits(args, [("degree", 0)], [("--degree", args.degree, "degree")])
     tokens = [t for t in args.expr.split("*") if t.strip()]
     if not tokens:
         raise CliError("empty expression")
-    terms = [_parse_groth_token(token, lie, args.max_degree) for token in tokens]
+    terms = [_parse_groth_token(token, lie, args) for token in tokens]
     product = terms[0]
     for term in terms[1:]:
         product = groth_mul(product, term, args.degree)

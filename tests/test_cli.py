@@ -364,6 +364,9 @@ CAPPED = [
     ("enumerate", "--type", "c", "--rank", "1", "--shape", "1500", "--max-vertices", "5"),
     # a term with more boxes than --max-degree, refused before it is built
     ("groth", "h:1*z:11", "--type", "c"),
+    # --a values are box counts, held against --max-degree before any instance
+    ("verify", "e-expansion", "--a", "0..11"),
+    ("verify", "residue-character", "--a", "0..11"),
 ]
 
 
@@ -380,6 +383,13 @@ def test_capped_input_exits_3_with_one_line(argv):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("resource cap: "), proc.stderr
+
+
+def test_verify_usage_errors_come_before_range_caps(capsys):
+    code, _, err = run(capsys, "verify", "e-expansion", "--a", "0..11", "--ell", "0")
+    assert code == 2 and err == "error: --ell must be at least 1, not 0\n"
+    code, _, err = run(capsys, "verify", "psi", "--a", "3..1")
+    assert code == 2 and err == "error: empty range '3..1'\n"
 
 
 def test_unwritable_output_names_the_path(capsys, tmp_path):

@@ -913,32 +913,64 @@ def adjacent_column_pairs(lie_type, n):
                 yield left, right
 
 
+def ref_pair_report(left, right, lie_type, n):
+    """The reference witnesses of a column pair at j = 1, clause by clause in
+    report order, formatted like the library's details."""
+    brackets = "columns 1,2: bracket {}@{}..{}@{}".format
+    report = {"row-order": [
+        f"row {i}: {x} may not precede {y}"
+        for i, (x, y) in enumerate(zip(left, right), start=1)
+        if not row_pair_ok(x, y, lie_type)
+    ]}
+    report["bracket-pair-distance"] = [
+        f"{brackets(-a, p, a, s)} with pair {-b}@{q},{b}@{r} has gap "
+        f"{(q - p) + (s - r)} >= {a - b}"
+        for a, p, s, b, q, r in ref_pair_hits(left, right, lie_type, n)
+    ]
+    if lie_type == "c":
+        return report
+    kind = "zero" if lie_type == "b" else "sign"
+    report[f"{kind}-band-distance"] = [
+        f"{brackets(-a, p, a, s)} spans the band cells at rows {q},{r} with gap "
+        f"{(q - p) + (s - r)} >= {a - 1}"
+        for a, p, s, q, r in ref_band_hits(left, right, lie_type, n)
+    ]
+    report[f"{kind}-overlap"] = [
+        f"columns 1,2: {left[p - 1]}@{p} left sits above {right[q - 1]}@{q} right"
+        for p, q in ref_overlap_hits(left, right, lie_type)
+    ]
+    if lie_type == "d":
+        report["sign-span-parity"] = [
+            f"{brackets(-a, p, a, s)} with signs {right[q - 1]}@{q} right, "
+            f"{left[r - 1]}@{r} left has span {span} and width {s - p} >= {a - 1}"
+            for a, p, s, q, r, span in ref_span_hits(left, right, n)
+        ]
+    return report
+
+
 def test_indexed_witnesses_match_the_scanning_generators():
-    hits = {"bracket": 0, "pair": 0, "band": 0, "overlap": 0, "span": 0}
+    hits = dict.fromkeys(("brackets", "bracket-pair", "band", "overlap", "span"), 0)
     for lie_type in ("b", "c", "d"):
         for n in (2, 3, 4):
             for left, right in adjacent_column_pairs(lie_type, n):
                 lr, rr = tableaux._row_index(left), tableaux._row_index(right)
-                for a in range(1, n + 1):
-                    got = list(tableaux._bracket_pairs(lr, rr, a))
-                    assert got == list(ref_bracket_pairs(left, right, a))
-                    hits["bracket"] += bool(got)
-                got = list(
-                    tableaux._band_condition_hits(left, right, lr, rr, lie_type, n)
-                )
-                assert got == list(ref_band_hits(left, right, lie_type, n))
-                hits["band"] += bool(got)
-                got = list(tableaux._overlap_condition_hits(left, right, lie_type))
-                assert got == list(ref_overlap_hits(left, right, lie_type))
-                hits["overlap"] += bool(got)
-                got = list(tableaux._pair_condition_hits(lr, rr, lie_type, n))
-                assert got == list(ref_pair_hits(left, right, lie_type, n)), (
-                    lie_type, n, left, right,
-                )
-                hits["pair"] += bool(got)
-                got = list(tableaux._span_condition_hits(left, right, lr, rr, n))
-                assert got == list(ref_span_hits(left, right, n))
-                hits["span"] += bool(got)
+                got = tableaux._brackets(lr, rr)
+                assert got == [
+                    (a, p, s)
+                    for a in range(1, n + 1)
+                    for p, s in ref_bracket_pairs(left, right, a)
+                ]
+                hits["brackets"] += bool(got)
+                want = ref_pair_report(left, right, lie_type, n)
+                got = list(tableaux._pair_witnesses(left, right, 1, lie_type))
+                for clause, details in want.items():
+                    assert [d for c, d in got if c == clause] == details, (
+                        clause, lie_type, n, left, right,
+                    )
+                # and the clauses come in report order, with none left over
+                assert got == [(c, d) for c, details in want.items() for d in details]
+                for rule in ("bracket-pair", "band", "overlap", "span"):
+                    hits[rule] += any(rule in c for c, _ in got)
     # every rule produced witnesses somewhere, so the comparisons had teeth
     assert all(hits.values()), hits
 
