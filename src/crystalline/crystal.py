@@ -670,12 +670,11 @@ def _scan_at_rank(
     return out
 
 
+_SCAN_ESCALATIONS, _SCAN_MAX_RANK = 2, 24
+
+
 def stabilized_decomposition(
-    left: StableComponent,
-    right: StableComponent,
-    n_start: int | None = None,
-    max_escalations: int = 2,
-    max_rank: int = 24,
+    left: StableComponent, right: StableComponent
 ) -> dict[StableComponent, int]:
     """Decompose a tensor of two rank-free crystals into component labels.
 
@@ -691,6 +690,8 @@ def stabilized_decomposition(
     contracted components drift upward with the rank) and lives in the ring
     layer instead, where characters decide it.
 
+    The scan starts at rank |kappa| + 2(|mu_left| + |mu_right|), at least 2
+    and even in type d; a start above the scan cap raises ResourceCapError.
     A label with both parts set, or two labels of different types, raise
     ValueError; a ``mu`` that is not a partition raises InvalidShapeError.
     """
@@ -712,39 +713,34 @@ def stabilized_decomposition(
         return {StableComponent(left.mu, right.kappa): 1}
     expected = None
     if not left.kappa.ell:
-        expected = {
-            StableComponent(make_partition(nu), unit.kappa): c
-            for nu, c in lr_expand(left.mu, right.mu).items()
-        }
-
-    if n_start is None:
-        parts = left.mu + left.kappa.lam + right.mu + right.kappa.lam
-        n_start = max(parts, default=0) + sum(parts) + 2
-    n_start = max(n_start, 2)
-    # The even orthogonal family swaps full-height columns with their signed
-    # twins at odd ranks, so its scans compare two even ranks; the other
-    # types compare consecutive ranks.
+        lr = lr_expand(left.mu, right.mu)
+        expected = {StableComponent(nu, unit.kappa): c for nu, c in lr.items()}
+    # Crossing a finite class lowers a dominant shape by at most two boxes
+    # per box crossed (grothendieck.groth_mul's window rule), so every
+    # component has appeared by this rank.  The even orthogonal family swaps
+    # full-height columns with their signed twins at odd ranks, so its scans
+    # compare two even ranks; the other types compare consecutive ranks.
+    start = max(sum(left.kappa.lam) + 2 * (sum(left.mu) + sum(right.mu)), 2)
     step = 2 if lie_type == "d" else 1
-    n = n_start + (n_start % 2 if lie_type == "d" else 0)
-    first = second = None
-    for _ in range(max_escalations + 1):
-        if n + step > max_rank:
-            break
+    start += start % step
+    if start + step > _SCAN_MAX_RANK:
+        raise ResourceCapError(
+            f"no rank was scanned: the product needs ranks {start} and "
+            f"{start + step}, but the scan cap is rank {_SCAN_MAX_RANK}"
+        )
+    last = min(start + 2 * _SCAN_ESCALATIONS, _SCAN_MAX_RANK - step)
+    for n in range(start, last + 1, 2):
         first = _scan_at_rank(left, right, n, DEFAULT_MAX_VERTICES)
         second = _scan_at_rank(left, right, n + step, DEFAULT_MAX_VERTICES)
         if first == second and (expected is None or first == expected):
             return first
-        n += 2
-    message = f"decomposition did not stabilize by rank {min(n, max_rank)}"
-    if first is not None:
-        ranks = f"ranks {n - 2} and {n - 2 + step}"
-        if first != second:
-            message += f"; {ranks} differ on " + _label_diff(first, second)
-        else:
-            message += (
-                f"; {ranks} agree but differ from the Littlewood-Richardson "
-                "labels on " + _label_diff(first, expected)
-            )
+    top = n + step
+    message = f"decomposition did not stabilize by rank {top}; ranks {n} and {top}"
+    if first != second:
+        message += " differ on " + _label_diff(first, second)
+    else:
+        message += " agree but differ from the Littlewood-Richardson labels on "
+        message += _label_diff(first, expected)
     raise StabilizationError(message, first, second, expected)
 
 

@@ -303,13 +303,17 @@ def trivial_shape(lie_type: str) -> DominantShape:
     return DominantShape(lie_type, (), 0)
 
 
-@lru_cache(maxsize=None)
 def level_shapes(
     lie_type: str, ell: int, sizes: Iterable[int], max_part: int | None = None
 ) -> tuple[DominantShape, ...]:
     """The valid dominant shapes of level ``ell`` with a box count in ``sizes``
-    (a range or tuple) and parts at most ``max_part``, by size, then in the
-    order of :func:`partitions_of`."""
+    (any iterable of sizes) and parts at most ``max_part``, by size, then in
+    the order of :func:`partitions_of`."""
+    return _level_shapes(lie_type, ell, tuple(sizes), max_part)
+
+
+@lru_cache(maxsize=None)
+def _level_shapes(lie_type: str, ell: int, sizes: tuple, max_part: int | None) -> tuple:
     shapes = []
     for size in sizes:
         for lam in partitions_of(size, max_part):

@@ -293,15 +293,19 @@ def test_groth_errors(capsys):
 
 
 def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
-    # force the scan to give up: ranks 2 and 3 disagree, and no escalation
-    from crystalline import grothendieck
-    from crystalline.crystal import stabilized_decomposition
+    # force the scan to give up: every scan reads the rank below the one
+    # asked for, so the first pair (ranks 3 and 4, really 2 and 3) disagrees,
+    # and no escalation is allowed
+    from crystalline import crystal, grothendieck
 
-    def low(left, right):
-        return stabilized_decomposition(left, right, n_start=2, max_escalations=0)
+    scan = crystal._scan_at_rank
+    monkeypatch.setattr(crystal, "_SCAN_ESCALATIONS", 0)
 
-    monkeypatch.setattr(grothendieck, "stabilized_decomposition", low)
-    # no scan answered before, or by, the patched decomposition may stay
+    def low(left, right, n, cap):
+        return scan(left, right, n - 1, cap)
+
+    monkeypatch.setattr(crystal, "_scan_at_rank", low)
+    # no scan answered before, or by, the patched scan may stay
     grothendieck._posi_zero.cache_clear()
     try:
         code, out, err = run(capsys, "groth", "pi:1@1*w:1", "--type", "b")
@@ -310,7 +314,29 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("resource cap: decomposition did not stabilize by rank 4;")
-    assert "ranks 2 and 3 differ on 2 labels" in err
+    assert "ranks 3 and 4 differ on 2 labels" in err
+
+
+def test_groth_tall_column_after_a_row_has_every_component(capsys):
+    # h_0 x z_5 in type c: the scan starts at rank 10, where all six
+    # components [1^(5-j) | j@1] have appeared (ranks 8 and 9 hold none)
+    code, out, err = run(capsys, "groth", "h:0*z:5", "--type", "c", "--side", "both")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "[1,1,1,1,1 | 0@1] + [1,1,1,1 | 1@1] + [1,1,1 | 2@1] + [1,1 | 3@1] "
+        "+ [1 | 4@1] + [0 | 5@1]",
+        "z5*h0 + z4*h1 + z3*h2 + z2*h3 + z1*h4 + h5",
+    ]
+
+
+def test_groth_start_rank_above_the_scan_cap_is_one_line(capsys):
+    # [0 | 10@1] x 1^7 starts at rank 10 + 2*7 = 24, and the scan cap is 24
+    code, out, err = run(capsys, "groth", "pi:10@1*w:1,1,1,1,1,1,1", "--type", "c")
+    assert (code, out) == (3, "")
+    assert err == (
+        "resource cap: no rank was scanned: the product needs ranks 24 and 25, "
+        "but the scan cap is rank 24\n"
+    )
 
 
 def test_groth_noncommutativity_visible(capsys):

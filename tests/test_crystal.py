@@ -46,6 +46,7 @@ from crystalline.weights import (
     ResourceCapError,
     StabilizationError,
     Weight,
+    level_shapes,
     pairing,
     partitions_of,
     truncation_shape,
@@ -984,21 +985,36 @@ def test_model_source_checks_its_result(monkeypatch):
     )
 
 
-def test_non_stabilization_carries_its_evidence():
-    # ranks 2 and 3 disagree for this product, and no escalation is allowed
+def _scan_one_rank_low(monkeypatch):
+    """Make every scan read the rank below the one asked for, and allow no
+    escalation, so that a product stops at its first pair of ranks."""
+    scan = crystal._scan_at_rank
+    monkeypatch.setattr(crystal, "_SCAN_ESCALATIONS", 0)
+
+    def low(left, right, n, cap):
+        return scan(left, right, n - 1, cap)
+
+    monkeypatch.setattr(crystal, "_scan_at_rank", low)
+
+
+def test_non_stabilization_carries_its_evidence(monkeypatch):
+    # the product starts at rank 3; read one rank low, its scans are those
+    # of ranks 2 and 3, which disagree
     left, right = dominant(DominantShape("b", (1,), 1)), zero("b", (1,))
-    with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(left, right, n_start=2, max_escalations=0)
-    err = info.value
     scans = [
         crystal._scan_at_rank(left, right, n, crystal.DEFAULT_MAX_VERTICES)
         for n in (2, 3)
     ]
+    _scan_one_rank_low(monkeypatch)
+    with pytest.raises(StabilizationError) as info:
+        stabilized_decomposition(left, right)
+    err = info.value
     assert [err.first, err.second] == scans and err.first != err.second
     assert err.expected is None
     message = str(err)
     assert "\n" not in message and len(message) < 300
-    assert "ranks 2 and 3 differ on 2 labels" in message
+    assert message.startswith("decomposition did not stabilize by rank 4; ")
+    assert "ranks 3 and 4 differ on 2 labels" in message
     assert "[1 | 1@1] 0/1" in message
 
 
@@ -1008,21 +1024,80 @@ def test_non_stabilization_against_littlewood_richardson(monkeypatch):
     expected = {
         StableComponent(nu, DominantShape("c", (), 0)): 1 for nu in [(2,), (1, 1)]
     }
-    with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(mu, mu, n_start=2, max_rank=2)
-    err = info.value
-    assert (err.first, err.second, err.expected) == (None, None, expected)
-    assert str(err) == "decomposition did not stabilize by rank 2"
     # two scans that agree with each other but not with the LR labels
+    monkeypatch.setattr(crystal, "_SCAN_ESCALATIONS", 0)
     monkeypatch.setattr(crystal, "_scan_at_rank", lambda *args: {})
     with pytest.raises(StabilizationError) as info:
-        stabilized_decomposition(mu, mu, n_start=2, max_escalations=0)
+        stabilized_decomposition(mu, mu)
     err = info.value
     assert (err.first, err.second, err.expected) == ({}, {}, expected)
-    assert str(err).endswith(
-        "ranks 2 and 3 agree but differ from the Littlewood-Richardson labels "
-        "on 2 labels: [1,1 | 0@0] 0/1, [2 | 0@0] 0/1"
+    assert str(err) == (
+        "decomposition did not stabilize by rank 5; ranks 4 and 5 agree but "
+        "differ from the Littlewood-Richardson labels on 2 labels: "
+        "[1,1 | 0@0] 0/1, [2 | 0@0] 0/1"
     )
+
+
+def test_start_rank_above_the_scan_cap_scans_nothing(monkeypatch):
+    # (1) x (1) starts at rank 4, so a cap at rank 4 leaves no pair to scan;
+    # the error says so instead of claiming the scans did not stabilize
+    scanned = []
+    monkeypatch.setattr(crystal, "_SCAN_MAX_RANK", 4)
+    monkeypatch.setattr(crystal, "_scan_at_rank", lambda *args: scanned.append(args))
+    with pytest.raises(ResourceCapError) as info:
+        stabilized_decomposition(zero("c", (1,)), zero("c", (1,)))
+    assert not isinstance(info.value, StabilizationError) and not scanned
+    assert str(info.value) == (
+        "no rank was scanned: the product needs ranks 4 and 5, but the scan cap "
+        "is rank 4"
+    )
+    # type d compares even ranks: the dominant factor 1@1 against (1,1) starts
+    # at rank 5, made even
+    monkeypatch.setattr(crystal, "_SCAN_MAX_RANK", 7)
+    left = dominant(DominantShape("d", (1,), 1))
+    with pytest.raises(ResourceCapError, match="ranks 6 and 8, but the scan cap is rank 7"):
+        stabilized_decomposition(left, zero("d", (1, 1)))
+    assert not scanned
+
+
+def test_start_rank_covers_every_component(monkeypatch):
+    """At the start rank and the next, the stability filter rejects no
+    window and the two scans agree, so the first pair of ranks already holds
+    every component: levels 1-2, |kappa| <= 2 and |mu| <= 3 in all three
+    types, the column 1^4 against the factors 0@1 and 1@1 in all types, and
+    the column 1^5 against them in type c (a start rank of 8 dropped all six
+    components of 1^5 x 0@1 there)."""
+    ranks, rejected = [], []
+    scan, stable = crystal._scan_at_rank, crystal._is_stable_window
+
+    def spy_scan(left, right, n, cap):
+        ranks.append(n)
+        return scan(left, right, n, cap)
+
+    def spy_stable(*args):
+        ok = stable(*args)
+        if not ok:
+            rejected.append(ranks[-1])
+        return ok
+
+    monkeypatch.setattr(crystal, "_scan_at_rank", spy_scan)
+    monkeypatch.setattr(crystal, "_is_stable_window", spy_stable)
+    for lie in ("b", "c", "d"):
+        products = [
+            (kappa, mu)
+            for ell in (1, 2)
+            for kappa in level_shapes(lie, ell, range(3))
+            for size in range(1, 4)
+            for mu in partitions_of(size)
+        ]
+        heights = (4, 5) if lie == "c" else (4,)
+        products += [
+            (DominantShape(lie, lam, 1), (1,) * h) for lam in ((), (1,)) for h in heights
+        ]
+        for kappa, mu in products:
+            ranks.clear()
+            out = stabilized_decomposition(dominant(kappa), zero(lie, mu))
+            assert len(ranks) == 2 and not rejected and out, (lie, kappa, mu, rejected)
 
 
 def test_tensor_factor_validation():

@@ -16,6 +16,7 @@ from crystalline.weights import (
     is_dominant,
     is_partition,
     level,
+    level_shapes,
     make_partition,
     orbit_representative,
     pairing,
@@ -430,3 +431,11 @@ def test_truncation_shape_partition_cases():
 def test_truncation_shape_rank_too_small():
     with pytest.raises(InvalidShapeError):
         truncation_shape(DominantShape("c", (5,), 1), 4)
+
+
+def test_level_shapes_takes_any_iterable_of_sizes():
+    # a list of sizes is unhashable, so the cached core sees it as a tuple
+    shapes = level_shapes("c", 1, [0, 1, 2])
+    assert shapes == level_shapes("c", 1, (0, 1, 2)) == level_shapes("c", 1, range(3))
+    assert [shape.lam for shape in shapes] == [(), (1,), (2,)]
+    assert level_shapes("d", 2, [3], 2) == level_shapes("d", 2, iter([3]), 2)
