@@ -270,7 +270,7 @@ def test_08_weight_decomposition_example():
 
 def test_09_tensor_decomposition_tables():
     with _gate(9, "tensor-decomposition-tables"):
-        args = _suite_args(a="0..2", b="0..2")
+        args = _suite_args(a="0..4", b="0..9")
         _assert_all_pass(suite_tensor_decomp(args))
         _assert_all_pass(suite_psi_homomorphism(args))
         # the stated multiplicity-two component in the even orthogonal

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driving main() with captured output."""
 
 import argparse
+import hashlib
 import json
 import os
 import shlex
@@ -13,6 +14,7 @@ import crystalline
 from crystalline import cli
 from crystalline.cli import main
 from crystalline.crystal import build_graph
+from crystalline.grothendieck import a_z, psi, row_class
 from crystalline.symfunc import LaurentPoly
 from crystalline.tableaux import enumerate_sst_pairs, residue, t_lambda
 from crystalline.weights import conjugate
@@ -157,7 +159,7 @@ def test_verify_unknown_identity(capsys):
         ("residue-character", ("--a", "0..2", "--b", "0..2", "--c", "0..2")),
         ("psi", ("--type", "c", "--a", "0..2", "--b", "0..2")),
         ("psi-homomorphism", ("--type", "d", "--a", "0..1", "--b", "1..2")),
-        ("tensor-decomp", ("--type", "d", "--a", "0..2", "--b", "1..2")),
+        ("tensor-decomp", ("--a", "0..4", "--b", "1..9")),
         ("dominance-lemma", ("--type", "c",)),
         ("laurent-bridge", ("--type", "b", "--rank", "3")),
         ("jt-character", ("--type", "c", "--shape", "1:1", "--rank", "3")),
@@ -317,6 +319,21 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
     assert "ranks 3 and 4 differ on 2 labels" in err
 
 
+def test_groth_scan_node_cap_is_one_line(capsys, monkeypatch):
+    # the scan's walk stops at the node cap: h_1 x z_2 in type c starts at
+    # rank 5, whose 1,1 walk places more than ten letters
+    from crystalline import crystal, grothendieck
+
+    monkeypatch.setattr(crystal, "DEFAULT_MAX_VERTICES", 10)
+    grothendieck._posi_zero.cache_clear()
+    try:
+        code, out, err = run(capsys, "groth", "h:1*z:2", "--type", "c")
+    finally:
+        grothendieck._posi_zero.cache_clear()
+    assert (code, out) == (3, "")
+    assert err == "resource cap: more than 10 scan nodes for shape (1, 1) at rank 5\n"
+
+
 def test_groth_tall_column_after_a_row_has_every_component(capsys):
     # h_0 x z_5 in type c: the scan starts at rank 10, where all six
     # components [1^(5-j) | j@1] have appeared (ranks 8 and 9 hold none)
@@ -327,6 +344,32 @@ def test_groth_tall_column_after_a_row_has_every_component(capsys):
         "+ [1 | 4@1] + [0 | 5@1]",
         "z5*h0 + z4*h1 + z3*h2 + z2*h3 + z1*h4 + h5",
     ]
+
+
+def test_groth_tall_column_past_the_filling_listing(capsys):
+    # h_3 x z_6 in type c scans ranks 15 and 16, where listing every filling
+    # of the right model took seconds; the pruned scan agrees with the
+    # algebra route read back as labels
+    code, out, err = run(capsys, "groth", "h:3*z:6", "--type", "c")
+    assert (code, err) == (0, "")
+    want = cli._labels_from_algebra(psi(row_class("c", 3)) * a_z("c", 6), "c")
+    assert out == f"{want}\n"
+    assert out.count("@1]") == 22
+
+
+@pytest.mark.parametrize(
+    "product,lie_type,digest",
+    [
+        # the SHA-256 of the stdout the full listing printed for these two
+        ("h:2*z:2*h:2*z:3", "b", "78eabea0c530dd76349f2b4cd2fd30e8c6c24fc0d81f16e851639545248ce073"),
+        ("h:1*z:2*h:1*z:2", "d", "9d9cc2e24b96d3cc5ec1be9602995ff14e5623a682545a5e5fd18938a9aa4c62"),
+    ],
+    ids=["b", "d"],
+)
+def test_groth_long_products_keep_their_output(capsys, product, lie_type, digest):
+    code, out, err = run(capsys, "groth", product, "--type", lie_type)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_groth_start_rank_above_the_scan_cap_is_one_line(capsys):

@@ -1,5 +1,6 @@
 """Tests for crystal operators, graph generation and stabilized decompositions."""
 
+import functools
 import itertools
 import os
 import subprocess
@@ -220,6 +221,12 @@ def test_shared_letter_tables_are_read_only():
     with pytest.raises(TypeError):
         moves[1] = ()
     assert steps["f", 1, 1] == 2 and moves is crystal._letter_moves("c", 3)
+    # the scan's column-order table: 1 and -1 may alternate in type d
+    below = crystal._letters_below("d", 3)
+    with pytest.raises(TypeError):
+        below[None] = ()
+    assert below[None] == alphabet("d", 3)
+    assert below[1] == (-1, 2, 3) and below[-1] == (1, 2, 3)
 
 
 def test_letter_tables_reject_a_rank_too_small_for_the_type():
@@ -922,20 +929,30 @@ def model_shape(label, n):
     return truncation_shape(label.kappa, n)
 
 
+@functools.lru_cache(maxsize=None)
+def full_listing(shape, lie_type, n, max_count):
+    """Every filling from ``enumerate_kn`` as (eps_i of its ``reading_word``
+    one index at a time, its weight), listed once per shape and rank."""
+    return tuple(
+        (tuple(word_eps(reading_word(y), i, lie_type, n) for i in range(n)), y.weight())
+        for y in enumerate_kn(shape, lie_type, n, max_count)
+    )
+
+
 def reference_scan(left, right, n, max_count):
-    """The scan through whole tableaux: every filling from ``enumerate_kn``,
-    its ``reading_word``, and eps_i of that word one index at a time."""
+    """The scan through whole tableaux: the full listing of the right
+    model, each filling kept when eps_i of its word is at most phi_i of the
+    left source for every i."""
     lie_type = left.kappa.lie_type
     source = crystal._model_source(model_shape(left, n), lie_type, n)
     phi_x = [tableau_phi(source, i) for i in range(n)]
     tail = -left.kappa.ell - right.kappa.ell
     zero_size = sum(left.mu) + sum(right.mu)
     out = {}
-    for y in enumerate_kn(model_shape(right, n), lie_type, n, max_count):
-        word = reading_word(y)
-        if not all(word_eps(word, i, lie_type, n) <= phi_x[i] for i in range(n)):
+    for eps_y, weight_y in full_listing(model_shape(right, n), lie_type, n, max_count):
+        if not all(e <= p for e, p in zip(eps_y, phi_x)):
             continue
-        window = (source.weight() + y.weight()).window(n)
+        window = (source.weight() + weight_y).window(n)
         if not crystal._is_stable_window(window, tail, lie_type, zero_size):
             continue
         label = crystal.window_to_component(window, tail, lie_type)
@@ -962,6 +979,48 @@ def test_column_scan_matches_the_tableau_scan(lie_type):
     assert labels > 100
     with pytest.raises(ResourceCapError):
         crystal._scan_at_rank(lefts[0], rights[-1], 3, 10)
+
+
+# Right models of the reference sweep, with the rank each is scanned at:
+# every partition of at most four boxes at rank 5, and the columns
+# 1^5 and 1^6 at rank 7, where the full listing still takes milliseconds.
+SWEEP_RIGHTS = [
+    (mu, 5) for size in range(1, 5) for mu in partitions_of(size)
+] + [((1,) * 5, 7), ((1,) * 6, 7)]
+
+
+@pytest.mark.parametrize("lie_type", ["b", "c", "d"])
+def test_pruned_scan_matches_the_full_listing(lie_type):
+    """The pruned walk against the full listing at fixed ranks, for the
+    dominant left models of levels 1-3 with at most two boxes and three
+    finite left models.  The walk must also place fewer letters than the
+    listing has fillings (as many, for one box): it passes a node cap of one
+    below the listing's size, which a walk that lists every filling cannot."""
+    lefts = [
+        dominant(kappa) for ell in (1, 2, 3) for kappa in level_shapes(lie_type, ell, range(3))
+    ] + [zero(lie_type, mu) for mu in [(1,), (2,), (1, 1)]]
+    cap = crystal.DEFAULT_MAX_VERTICES
+    components = 0
+    for mu, n in SWEEP_RIGHTS:
+        right = zero(lie_type, mu)
+        size = len(full_listing(mu, lie_type, n, cap))
+        nodes = size - 1 if sum(mu) > 1 else size
+        for left in lefts:
+            scan = crystal._scan_at_rank(left, right, n, nodes)
+            assert scan == reference_scan(left, right, n, cap), (n, left, right)
+            components += sum(scan.values())
+    assert components > 400, components
+
+
+def test_label_translation_is_shared_across_ranks():
+    # a component's window at the next rank gains a tail-valued coordinate,
+    # which the weight drops, so both ranks read one table entry
+    crystal._component.cache_clear()
+    low = crystal.window_to_component((0, -1, -1), -1, "c")
+    high = crystal.window_to_component((0, -1, -1, -1), -1, "c")
+    assert low == high == StableComponent((), DominantShape("c", (1,), 1))
+    info = crystal._component.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_model_source_checks_its_result(monkeypatch):

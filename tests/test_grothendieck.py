@@ -569,18 +569,18 @@ def test_half_rejects_odd_coefficients():
 
 def test_psi_is_a_homomorphism_rows_past_columns():
     """The scan-based products match the closed-form corrections through the
-    realization map, for every type and all small widths and heights, and
-    for three columns of five boxes whose scans once started below the rank
-    where every component appears."""
-    grid = itertools.product(("b", "c", "d"), range(5), range(1, 5))
-    for lie, a, b in [*grid, ("b", 1, 5), ("c", 0, 5), ("c", 1, 5)]:
+    realization map, for every type, widths up to four and columns up to
+    nine boxes: past five boxes the right model has too many fillings to
+    list, and below six the scans once started under the rank where every
+    component appears."""
+    for lie, a, b in itertools.product(("b", "c", "d"), range(5), range(1, 10)):
         x = row_class(lie, a)
         y = column_class(lie, b)
         assert psi(groth_mul(x, y)) == psi(x) * psi(y), (lie, a, b)
 
 
 def test_psi_is_a_homomorphism_barred_cases():
-    for b in range(1, 5):
+    for b in range(1, 10):
         x = barred_class()
         y = column_class("d", b)
         assert psi(groth_mul(x, y)) == psi(x) * psi(y), b
