@@ -463,9 +463,12 @@ def cmd_verify(args) -> int:
         known = ", ".join(sorted(set(VERIFY_SUITES) - {"psi"}))
         sys.stderr.write(f"unknown identity {args.identity!r}; known: {known}\n")
         return EXIT_USAGE
-    # each --a/--b/--c value counts boxes, so it is held against --max-degree
-    # before any instance runs
+    # each --a/--b/--c value counts boxes, so it is held against 0 and
+    # --max-degree before any instance runs
     ranges = [(f"--{flag}", parse_range(getattr(args, flag))) for flag in "abc"]
+    for flag, values in ranges:
+        if values[0] < 0:
+            raise CliError(f"{flag} must be at least 0, not {values[0]}")
     check_limits(
         args,
         [("rank", 1), ("degree", 0), ("ell", 1), ("lam", 0)],

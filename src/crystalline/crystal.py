@@ -21,8 +21,8 @@ A tensor element is a tuple of tableau factors, and it acts through the
 concatenated reading word of its factors; a tableau is the one-factor case.
 A graph walks its seed up to its source, then closes under lowering
 operators on reading words, checking each vertex once; the source of one
-model has a closed form, and tensor sources come from pruned scans of the
-right factor's reading words.
+model has a closed form.  Tensor sources come from ``tableaux``'s column
+walk, whose signature fold drops any prefix that cannot stay highest weight.
 
 Rank-stabilized decompositions translate the sources of a rank-n model into
 rank-free labels: a pair of a partition (the finite-support part of the
@@ -43,16 +43,12 @@ from crystalline.symfunc import LaurentPoly, lr_expand
 from crystalline.tableaux import (
     DEFAULT_MAX_VERTICES,
     KNTableau,
-    _abs_shape,
-    _column_clean,
-    _columns_compatible,
-    _full_row_count,
+    _column_chains,
     _parity_ok,
+    _word_window,
     alphabet,
-    column_pair_ok,
     kn_validate,
     normalize_shape,
-    row_pair_ok,
     word_weight,
 )
 from crystalline.weights import (
@@ -61,7 +57,6 @@ from crystalline.weights import (
     StabilizationError,
     Weight,
     check_lie_type,
-    conjugate,
     decompose_weight,
     make_partition,
     orbit_representative,
@@ -662,15 +657,14 @@ def _scan_at_rank(
 
     The left model is a single connected crystal, so only its source x is
     materialized, and x (x) y is a source exactly when eps_i(y) <= phi_i(x)
-    for every i.  The right model's fillings y are never listed: a pruned
-    walk (:func:`_highest_weight_windows`) builds their reading words in
-    reading order, columns right to left and each column top to bottom,
-    and drops a prefix as soon as some eps_i of it exceeds phi_i(x).  That
-    is sound because eps_i of a word is at least eps_i of any prefix: the
-    signature rule only ever adds minus signs as the word grows.  The walk
-    counts the surviving words by weight window, and each distinct window
-    is filtered and translated once.  More than max_count walk nodes raise
-    ResourceCapError.
+    for every i.  The right model's fillings y come from the column walk
+    (:func:`tableaux._column_chains`), which folds their reading words into
+    the minus and plus counts of :func:`_signatures` and drops a prefix once
+    some eps_i of it exceeds phi_i(x): eps_i of a word is at least eps_i of
+    any prefix, since the signature rule only adds minus signs as the word
+    grows.  The survivors are counted by weight window, and each distinct
+    window is filtered and translated once.  A node is a letter folded; more
+    than max_count nodes raise ResourceCapError.
     """
     lie_type = left.kappa.lie_type
     source = _model_source(_model_shape(left, n), lie_type, n)
@@ -678,8 +672,32 @@ def _scan_at_rank(
     tail = -left.kappa.ell - right.kappa.ell
     zero_size = sum(left.mu) + sum(right.mu)
     signed = normalize_shape(_model_shape(right, n), lie_type, n)
+    moves = _letter_moves(lie_type, n)
+    nodes = 0
+
+    def fold(state, x):
+        nonlocal nodes
+        nodes += 1
+        if nodes > max_count:
+            raise ResourceCapError(
+                f"more than {max_count} scan nodes for shape {signed} at rank {n}"
+            )
+        minus, plus = state
+        minus, plus = list(minus), list(plus)
+        for i, eps, phi in moves[x]:
+            have = plus[i]
+            if eps > have:
+                minus[i] += eps - have
+                if minus[i] > phi_x[i]:
+                    return None  # and so does every word through this prefix
+                have = eps  # so that every plus sign is cancelled
+            plus[i] = have - eps + phi
+        return tuple(minus), tuple(plus)
+
+    windows: Counter[tuple[int, ...]] = Counter()
+    for cols in _column_chains(signed, lie_type, n, fold, ((0,) * n, (0,) * n)):
+        windows[_word_window((x for col in cols for x in col), n)] += 1
     shift = source.weight().window(n)
-    windows = _highest_weight_windows(signed, lie_type, n, phi_x, max_count)
     out: dict[StableComponent, int] = {}
     for weight_y, count in windows.items():
         window = tuple(map(operator.add, shift, weight_y))
@@ -687,93 +705,6 @@ def _scan_at_rank(
             label = window_to_component(window, tail, lie_type)
             out[label] = out.get(label, 0) + count
     return out
-
-
-@lru_cache(maxsize=None)
-def _letters_below(lie_type: str, n: int) -> Mapping[int | None, tuple[int, ...]]:
-    """Per letter, the letters that may sit right under it in a column, in
-    alphabet order; None keys the whole alphabet, for a column's top cell.
-    Read-only, like :func:`_letter_steps`."""
-    letters = alphabet(lie_type, n)
-    below: dict[int | None, tuple[int, ...]] = {None: letters}
-    for x in letters:
-        below[x] = tuple(y for y in letters if column_pair_ok(x, y, lie_type))
-    return MappingProxyType(below)
-
-
-def _highest_weight_windows(
-    signed: tuple[int, ...],
-    lie_type: str,
-    n: int,
-    phi: Sequence[int],
-    max_count: int,
-) -> Counter[tuple[int, ...]]:
-    """The valid fillings y of a normalized shape at rank n with eps_i(y) <=
-    phi[i] for every i, counted by the window of their weight: the pruned
-    walk of :func:`_scan_at_rank`.
-
-    Each letter placed must follow the one above it in column order and
-    may not exceed the one beside it in the right neighbour's row; it
-    updates the minus and plus counts of :func:`_signatures` (each minus
-    sign cancels the nearest uncancelled plus sign to its left).  A column
-    is checked against its own rules once complete, and against the
-    two-column rules with its right neighbour.  A node is a letter placed;
-    more than max_count nodes raise ResourceCapError.  The recursion is as
-    deep as the shape has boxes, which the scan cap keeps small.
-    """
-    heights = conjugate(_abs_shape(signed))[::-1]
-    last = _full_row_count(signed, lie_type, n)
-    moves, below = _letter_moves(lie_type, n), _letters_below(lie_type, n)
-    windows: Counter[tuple[int, ...]] = Counter()
-    word: list[int] = []
-    weight = [0] * n
-    nodes = 0
-
-    def extend(
-        k: int, top: int, right: tuple[int, ...], minus: list[int], plus: list[int]
-    ) -> None:
-        # word[top:] is the part of column k (in reading order) placed so
-        # far, and ``right`` is column k - 1, its right neighbour
-        nonlocal nodes
-        if k == len(heights):
-            windows[tuple(weight)] += 1
-            return
-        row = len(word) - top
-        if row == heights[k]:
-            col = tuple(word[top:])
-            if _column_clean(col, lie_type, n, last) and (
-                not right or _columns_compatible(col, right, lie_type)
-            ):
-                extend(k + 1, len(word), col, minus, plus)
-            return
-        beside = right[row] if row < len(right) else None
-        for x in below[word[-1] if row else None]:
-            if beside is not None and not row_pair_ok(x, beside, lie_type):
-                continue
-            nodes += 1
-            if nodes > max_count:
-                raise ResourceCapError(
-                    f"more than {max_count} scan nodes for shape {signed} at rank {n}"
-                )
-            m, p = minus[:], plus[:]
-            for i, eps, ph in moves[x]:
-                cancel = min(eps, p[i])
-                m[i] += eps - cancel
-                p[i] += ph - cancel
-                if m[i] > phi[i]:
-                    break  # and so does every word through this prefix
-            else:
-                # coordinate |x| counts the letters x minus the letters -x;
-                # the zero letter weighs nothing
-                sign = (x > 0) - (x < 0)
-                word.append(x)
-                weight[abs(x) - 1] += sign
-                extend(k, top, right, m, p)
-                weight[abs(x) - 1] -= sign
-                word.pop()
-
-    extend(0, 0, (), [0] * n, [0] * n)
-    return windows
 
 
 _SCAN_ESCALATIONS, _SCAN_MAX_RANK = 2, 24

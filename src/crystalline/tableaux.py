@@ -43,7 +43,8 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from crystalline.weights import (
     InvalidShapeError,
@@ -78,13 +79,18 @@ def alphabet(lie_type: str, n: int) -> tuple[int, ...]:
 def word_weight(word: Iterable[int], rank: int) -> Weight:
     """The rank-n weight of a word: coordinate k counts the letters k minus
     the letters -k; the zero letter counts nowhere."""
+    return Weight(_word_window(word, rank), 0)
+
+
+def _word_window(word: Iterable[int], rank: int) -> tuple[int, ...]:
+    """The first rank coordinates of :func:`word_weight`, as a plain tuple."""
     counts = [0] * rank
     for x in word:
         if x > 0:
             counts[x - 1] += 1
         elif x < 0:
             counts[-x - 1] -= 1
-    return Weight(tuple(counts), 0)
+    return tuple(counts)
 
 
 def letter_ok(x: int, lie_type: str, n: int) -> bool:
@@ -469,11 +475,6 @@ def kn_violations(T: KNTableau) -> tuple[Violation, ...]:
     return tuple(out)
 
 
-def _column_clean(col: tuple[int, ...], lie_type: str, n: int, last: int) -> bool:
-    """Whether the column breaks no rule of its own; stops at the first witness."""
-    return next(_column_witnesses(col, 1, lie_type, n, last), None) is None
-
-
 def _columns_compatible(
     left: tuple[int, ...], right: tuple[int, ...], lie_type: str
 ) -> bool:
@@ -483,21 +484,25 @@ def _columns_compatible(
     return next(_pair_witnesses(left, right, 1, lie_type), None) is None
 
 
-# Small LRU memos for kn_validate, keyed by the column, type, rank and
-# full-row count, or by the column pair and type.  Each vertex of a crystal
-# graph is validated once, and one graph at one rank has few distinct
-# columns: the column memo hit 95-97% of its calls on the 2,2,1 graphs of
-# c5, b4 and d4.  In a two-column tableau the one pair is the whole
-# tableau, so there the pair memo never hits (0 hits to 2,859, 1,649 and
-# 839 misses); three columns repeat pairs (7,238 hits to 952 misses on
-# c4 3,2,1, 5,430 to 300 on b3 4,2).  A scan validates only its one
-# closed-form source, and its pruned walk calls _column_clean and
-# _columns_compatible directly, since most columns it checks are new: one pass
-# of the ring-session benchmark jobs makes 998 column checks on 622
-# distinct columns and 8 pair checks on 7 pairs, and `verify tensor-decomp
-# --a 0..4 --b 1..9` makes 11,496 column checks on 10,747 columns and none
-# on pairs.  Through these tables that traffic would mostly evict.
-_column_ok = lru_cache(maxsize=512)(_column_clean)
+# Small LRU memos, keyed by the column, type, rank and full-row count, or
+# by the column pair and type.  kn_validate reads both, the column walk the
+# column memo.  A graph validates each vertex once, and its few distinct
+# columns repeat: the column memo hit 95-97% of its calls on the 2,2,1
+# graphs of c5, b4 and d4.  Pairs repeat only past two columns (0 hits to
+# 2,859, 1,649 and 839 misses on those graphs; 7,238 hits to 952 misses on
+# c4 3,2,1, 5,430 to 300 on b3 4,2).  The default `verify jt-character`
+# makes 45,555 column checks on 1,327 columns (97% hits) but 29,030 pair
+# checks on 27,498 pairs, so the walk checks pairs without a memo.  A
+# scan's columns are mostly new: `verify tensor-decomp --a 0..4 --b 1..9`
+# makes 11,784 column checks on 10,971 columns (6% hits), one pass of the
+# ring-session benchmark jobs 1,162 on 714 (37% hits), beside 8 walk pair
+# checks and kn_validate's 60 pair lookups, none a hit.
+@lru_cache(maxsize=512)
+def _column_ok(col: tuple[int, ...], lie_type: str, n: int, last: int) -> bool:
+    """Whether the column breaks no rule of its own; stops at the first witness."""
+    return next(_column_witnesses(col, 1, lie_type, n, last), None) is None
+
+
 _pair_ok = lru_cache(maxsize=1024)(_columns_compatible)
 
 
@@ -538,29 +543,6 @@ def t_lambda(shape: Sequence[int], lie_type: str, n: int) -> KNTableau:
     return KNTableau(signed, tuple(rows), lie_type, n)
 
 
-@lru_cache(maxsize=None)
-def _admissible_columns(
-    lie_type: str, n: int, h: int, last: int
-) -> tuple[tuple[int, ...], ...]:
-    """All rank-n columns of height h that break no rule of their own, in
-    generation order; ``last`` is the shape's ``_full_row_count``."""
-    letters = alphabet(lie_type, n)
-    out: list[tuple[int, ...]] = []
-
-    def extend(col: list[int]) -> None:
-        if len(col) == h:
-            out.append(tuple(col))
-            return
-        for x in letters:
-            if not col or column_pair_ok(col[-1], x, lie_type):
-                col.append(x)
-                extend(col)
-                col.pop()
-
-    extend([])
-    return tuple(col for col in out if _column_clean(col, lie_type, n, last))
-
-
 def enumerate_kn(
     shape: Sequence[int],
     lie_type: str,
@@ -573,74 +555,108 @@ def enumerate_kn(
     """
     signed = normalize_shape(shape, lie_type, n)
     widths = _abs_shape(signed)
-    results = [
-        KNTableau._trusted(
-            signed,
-            tuple(tuple(cols[j][i] for j in range(w)) for i, w in enumerate(widths)),
-            lie_type,
-            n,
-        )
-        for cols in _column_fillings(signed, lie_type, n, max_count)
-    ]
+    results = []
+    for cols in _column_chains(signed, lie_type, n, lambda state, x: state, ()):
+        if len(results) >= max_count:
+            raise ResourceCapError(
+                f"more than {max_count} fillings of shape {signed} at rank {n}"
+            )
+        cols = cols[::-1]  # left to right
+        rows = tuple(tuple(cols[j][i] for j in range(w)) for i, w in enumerate(widths))
+        results.append(KNTableau._trusted(signed, rows, lie_type, n))
     results.sort(key=lambda t: t.rows)
     return tuple(results)
 
 
-def _column_fillings(
-    signed: tuple[int, ...], lie_type: str, n: int, max_count: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    """The valid fillings of a normalized shape at rank n as tuples of
-    columns, left to right, in generation order.
+@lru_cache(maxsize=None)
+def _letters_below(lie_type: str, n: int) -> Mapping[int | None, tuple[int, ...]]:
+    """Per letter, the letters that may sit right under it in a column, in
+    alphabet order; None keys the whole alphabet, for a column's top cell.
+    Read-only, since every walk shares it."""
+    letters = alphabet(lie_type, n)
+    below: dict[int | None, tuple[int, ...]] = {None: letters}
+    for x in letters:
+        below[x] = tuple(y for y in letters if column_pair_ok(x, y, lie_type))
+    return MappingProxyType(below)
 
-    Enumeration goes column by column from the left, pruning by column
-    admissibility (and the full-column parity rule when it applies) before
-    filtering adjacent columns through the two-column rules.  The walk keeps
-    one iterator of options per column on an explicit stack, so a shape of
-    any width fits.  Raises ResourceCapError when more than max_count
-    fillings accumulate.
+
+def _column_chains(
+    signed: tuple[int, ...], lie_type: str, n: int, fold: Callable, start: Hashable
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The valid fillings of a normalized shape at rank n that ``fold``
+    keeps, as columns in reading order (right to left, each top to bottom).
+
+    ``fold(state, x)`` is the state after the letter x, from ``start`` on, or
+    None to drop every filling through that prefix.  Cells draw from the
+    column-order table, filtered by row order against the right neighbour;
+    a complete column must pass its own rules and the two-column rules with
+    its right neighbour.  The columns that may follow one (height, right
+    neighbour, state) are built once per call, and an explicit stack of
+    their iterators lets a shape of any width fit.
     """
-    heights = conjugate(_abs_shape(signed))
+    heights = conjugate(_abs_shape(signed))[::-1]
     last = _full_row_count(signed, lie_type, n)
-    candidates = [_admissible_columns(lie_type, n, h, last) for h in heights]
-    # Per call: for each pair of adjacent heights, the columns that may
-    # follow a given left column, computed the first time that column
-    # appears on the left.
-    followers: dict[tuple[int, int], dict[tuple[int, ...], list]] = {}
-    results: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []
-    stack: list[Iterator[tuple[int, ...]]] = []
-    while True:
-        j = len(chosen)
-        if j == len(heights):
-            if len(results) >= max_count:
-                raise ResourceCapError(
-                    f"more than {max_count} fillings of shape {signed} at rank {n}"
+    below = _letters_below(lie_type, n)
+    cells: dict[tuple[int | None, int | None], tuple[int, ...]] = {}
+    followers: dict[tuple, list] = {}
+
+    def options(h: int, right: tuple[int, ...], state: Hashable) -> list:
+        # the columns of height h that may sit left of ``right``, with states
+        found: list[tuple[tuple[int, ...], Hashable]] = []
+        col: list[int] = []
+
+        def fill(state: Hashable) -> None:
+            row = len(col)
+            if row == h:
+                done = tuple(col)
+                if _column_ok(done, lie_type, n, last) and (
+                    not right or _columns_compatible(done, right, lie_type)
+                ):
+                    found.append((done, state))
+                return
+            cell = (col[-1] if row else None, right[row] if row < len(right) else None)
+            letters = cells.get(cell)
+            if letters is None:
+                above, beside = cell
+                letters = cells[cell] = tuple(
+                    x
+                    for x in below[above]
+                    if beside is None or row_pair_ok(x, beside, lie_type)
                 )
-            results.append(tuple(chosen))
-        elif j == 0:
-            stack.append(iter(candidates[0]))
+            for x in letters:
+                after = fold(state, x)
+                if after is not None:
+                    col.append(x)
+                    fill(after)
+                    col.pop()
+
+        fill(state)
+        return found
+
+    chosen: list[tuple[int, ...]] = []
+    stack: list[Iterator] = []
+    right, state = (), start
+    while True:
+        if len(chosen) == len(heights):
+            yield tuple(chosen)
         else:
-            left = chosen[-1]
-            table = followers.setdefault((heights[j - 1], heights[j]), {})
-            options = table.get(left)
-            if options is None:
-                options = table[left] = [
-                    col
-                    for col in candidates[j]
-                    if _columns_compatible(left, col, lie_type)
-                ]
-            stack.append(iter(options))
+            key = (heights[len(chosen)], right, state)
+            found = followers.get(key)
+            if found is None:
+                found = followers[key] = options(*key)
+            stack.append(iter(found))
         # the next untried column, backing up past exhausted ones
         while stack:
             if len(chosen) == len(stack):
                 chosen.pop()
-            col = next(stack[-1], None)
-            if col is not None:
-                chosen.append(col)
+            pick = next(stack[-1], None)
+            if pick is not None:
+                right, state = pick
+                chosen.append(right)
                 break
             stack.pop()
         else:
-            return results
+            return
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,9 @@ MALFORMED = [
     ("verify", "e-expansion", "--degree", "-3"),
     ("verify", "laurent-bridge", "--ell", "0"),
     ("verify", "laurent-bridge", "--lam", "-1"),
+    # --a/--b/--c values count boxes, so a negative one is refused
+    ("verify", "residue-character", "--a=-2..-1", "--b", "0", "--c", "1"),
+    ("verify", "residue-character", "--c=-1..0"),
     # an --output path under a missing directory cannot be written
     ("enumerate", "--type", "c", "--rank", "2", "--shape", "1", "--output", "/nonexistent/x"),
     ("graph", "--type", "c", "--rank", "2", "--shape", "1", "--output", "/nonexistent/x"),

@@ -40,7 +40,14 @@ from crystalline.crystal import (
 from crystalline.grothendieck import make_label
 from crystalline.symfunc import lr_expand, sigma_char
 from crystalline import tableaux
-from crystalline.tableaux import KNTableau, alphabet, enumerate_kn, kn_validate, t_lambda
+from crystalline.tableaux import (
+    KNTableau,
+    alphabet,
+    column_pair_ok,
+    enumerate_kn,
+    kn_validate,
+    t_lambda,
+)
 from crystalline.weights import (
     DominantShape,
     InvalidShapeError,
@@ -222,7 +229,7 @@ def test_shared_letter_tables_are_read_only():
         moves[1] = ()
     assert steps["f", 1, 1] == 2 and moves is crystal._letter_moves("c", 3)
     # the scan's column-order table: 1 and -1 may alternate in type d
-    below = crystal._letters_below("d", 3)
+    below = tableaux._letters_below("d", 3)
     with pytest.raises(TypeError):
         below[None] = ()
     assert below[None] == alphabet("d", 3)
@@ -939,17 +946,45 @@ def full_listing(shape, lie_type, n, max_count):
     )
 
 
-def reference_scan(left, right, n, max_count):
-    """The scan through whole tableaux: the full listing of the right
-    model, each filling kept when eps_i of its word is at most phi_i of the
-    left source for every i."""
+@functools.lru_cache(maxsize=None)
+def brute_listing(shape, lie_type, n):
+    """Every filling of a partition shape by brute force, listed like
+    ``full_listing``: each product of column-ordered columns, kept when
+    ``kn_validate`` accepts the tableau.  It shares no code with the column
+    walk behind ``enumerate_kn`` and the scan."""
+    letters = alphabet(lie_type, n)
+    heights = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    columns = {
+        h: [
+            col
+            for col in itertools.product(letters, repeat=h)
+            if all(column_pair_ok(x, y, lie_type) for x, y in zip(col, col[1:]))
+        ]
+        for h in set(heights)
+    }
+    out = []
+    for cols in itertools.product(*(columns[h] for h in heights)):
+        rows = tuple(
+            tuple(col[i] for col in cols if len(col) > i) for i in range(len(shape))
+        )
+        y = KNTableau(shape, rows, lie_type, n)
+        if kn_validate(y):
+            eps = tuple(word_eps(reading_word(y), i, lie_type, n) for i in range(n))
+            out.append((eps, y.weight()))
+    return tuple(out)
+
+
+def reference_scan(left, right, n, listing):
+    """The scan through whole tableaux: each filling of the right model in
+    ``listing`` (full_listing or brute_listing) is kept when eps_i of its
+    word is at most phi_i of the left source for every i."""
     lie_type = left.kappa.lie_type
     source = crystal._model_source(model_shape(left, n), lie_type, n)
     phi_x = [tableau_phi(source, i) for i in range(n)]
     tail = -left.kappa.ell - right.kappa.ell
     zero_size = sum(left.mu) + sum(right.mu)
     out = {}
-    for eps_y, weight_y in full_listing(model_shape(right, n), lie_type, n, max_count):
+    for eps_y, weight_y in listing(model_shape(right, n), lie_type, n):
         if not all(e <= p for e, p in zip(eps_y, phi_x)):
             continue
         window = (source.weight() + weight_y).window(n)
@@ -972,7 +1007,7 @@ def test_column_scan_matches_the_tableau_scan(lie_type):
         for left in lefts:
             for right in rights:
                 scan = crystal._scan_at_rank(left, right, n, cap)
-                assert scan == reference_scan(left, right, n, cap), (
+                assert scan == reference_scan(left, right, n, brute_listing), (
                     n, left, right
                 )
                 labels += len(scan)
@@ -1007,7 +1042,8 @@ def test_pruned_scan_matches_the_full_listing(lie_type):
         nodes = size - 1 if sum(mu) > 1 else size
         for left in lefts:
             scan = crystal._scan_at_rank(left, right, n, nodes)
-            assert scan == reference_scan(left, right, n, cap), (n, left, right)
+            listing = functools.partial(full_listing, max_count=cap)
+            assert scan == reference_scan(left, right, n, listing), (n, left, right)
             components += sum(scan.values())
     assert components > 400, components
 
