@@ -485,19 +485,21 @@ def _columns_compatible(
 
 
 # Small LRU memos, keyed by the column, type, rank and full-row count, or
-# by the column pair and type.  kn_validate reads both, the column walk the
-# column memo.  A graph validates each vertex once, and its few distinct
-# columns repeat: the column memo hit 95-97% of its calls on the 2,2,1
-# graphs of c5, b4 and d4.  Pairs repeat only past two columns (0 hits to
-# 2,859, 1,649 and 839 misses on those graphs; 7,238 hits to 952 misses on
-# c4 3,2,1, 5,430 to 300 on b3 4,2).  The default `verify jt-character`
-# makes 45,555 column checks on 1,327 columns (97% hits) but 29,030 pair
-# checks on 27,498 pairs, so the walk checks pairs without a memo.  A
-# scan's columns are mostly new: `verify tensor-decomp --a 0..4 --b 1..9`
-# makes 11,784 column checks on 10,971 columns (6% hits), one pass of the
-# ring-session benchmark jobs 1,162 on 714 (37% hits), beside 8 walk pair
-# checks and kn_validate's 60 pair lookups, none a hit.
-@lru_cache(maxsize=512)
+# by the column pair and type.  kn_validate reads both, the follower
+# builder the column memo.  A graph validates each vertex once, and its few
+# distinct columns repeat: the column memo hit 95-97% of its calls on the
+# 2,2,1 graphs of c5, b4 and d4.  Pairs repeat only past two columns (0 hits
+# to 2,859, 1,649 and 839 misses on those graphs; 7,238 hits to 952 misses
+# on c4 3,2,1, 5,430 to 300 on b3 4,2).  `verify jt-character --rank 5`
+# makes 446,343 column checks on 3,495 columns, which the column memo holds
+# whole (a 512-entry one missed 67,504 times); the default run makes 45,555
+# on 1,327.  Their pair checks barely repeat (314,811 on 295,788 pairs and
+# 29,030 on 27,498), so the builder checks pairs without a memo.  A scan's
+# columns are mostly new: `verify tensor-decomp --a 0..4 --b 1..9` makes
+# 11,784 column checks on 10,971 columns (7% hits), one pass of the
+# ring-session benchmark jobs 1,162 on 714 (39% hits), beside 8 builder
+# pair checks and kn_validate's 60 pair lookups, none a hit.
+@lru_cache(maxsize=4096)
 def _column_ok(col: tuple[int, ...], lie_type: str, n: int, last: int) -> bool:
     """Whether the column breaks no rule of its own; stops at the first witness."""
     return next(_column_witnesses(col, 1, lie_type, n, last), None) is None
@@ -556,7 +558,7 @@ def enumerate_kn(
     signed = normalize_shape(shape, lie_type, n)
     widths = _abs_shape(signed)
     results = []
-    for cols in _column_chains(signed, lie_type, n, lambda state, x: state, ()):
+    for cols in _column_chains(signed, lie_type, n, _keep_state, ()):
         if len(results) >= max_count:
             raise ResourceCapError(
                 f"more than {max_count} fillings of shape {signed} at rank {n}"
@@ -580,28 +582,29 @@ def _letters_below(lie_type: str, n: int) -> Mapping[int | None, tuple[int, ...]
     return MappingProxyType(below)
 
 
-def _column_chains(
-    signed: tuple[int, ...], lie_type: str, n: int, fold: Callable, start: Hashable
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The valid fillings of a normalized shape at rank n that ``fold``
-    keeps, as columns in reading order (right to left, each top to bottom).
+def _keep_state(state: Hashable, x: int) -> Hashable:
+    """The fold that keeps every filling and carries no state."""
+    return state
 
-    ``fold(state, x)`` is the state after the letter x, from ``start`` on, or
-    None to drop every filling through that prefix.  Cells draw from the
-    column-order table, filtered by row order against the right neighbour;
-    a complete column must pass its own rules and the two-column rules with
-    its right neighbour.  The columns that may follow one (height, right
-    neighbour, state) are built once per call, and an explicit stack of
-    their iterators lets a shape of any width fit.
+
+def _follower_builder(
+    signed: tuple[int, ...], lie_type: str, n: int, fold: Callable
+) -> Callable[[int, tuple[int, ...], Hashable], list]:
+    """``options(h, right, state)``: the columns of height h that may sit
+    left of the column ``right`` (``()`` at the right edge), in alphabet
+    order, each with the state ``fold`` reaches through its letters from
+    ``state``; a letter whose fold is None ends its prefix.
+
+    Cells draw from the column-order table, filtered by row order against
+    the right neighbour; a complete column must pass its own rules and the
+    two-column rules with its right neighbour.  The cell table is shared by
+    every call of one builder; the lists are not kept.
     """
-    heights = conjugate(_abs_shape(signed))[::-1]
     last = _full_row_count(signed, lie_type, n)
     below = _letters_below(lie_type, n)
     cells: dict[tuple[int | None, int | None], tuple[int, ...]] = {}
-    followers: dict[tuple, list] = {}
 
     def options(h: int, right: tuple[int, ...], state: Hashable) -> list:
-        # the columns of height h that may sit left of ``right``, with states
         found: list[tuple[tuple[int, ...], Hashable]] = []
         col: list[int] = []
 
@@ -633,6 +636,24 @@ def _column_chains(
         fill(state)
         return found
 
+    return options
+
+
+def _column_chains(
+    signed: tuple[int, ...], lie_type: str, n: int, fold: Callable, start: Hashable
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The valid fillings of a normalized shape at rank n that ``fold``
+    keeps, as columns in reading order (right to left, each top to bottom).
+
+    ``fold(state, x)`` is the state after the letter x, from ``start`` on, or
+    None to drop every filling through that prefix.  The columns that may
+    follow one (height, right neighbour, state) come from
+    :func:`_follower_builder` once per call, and an explicit stack of their
+    iterators lets a shape of any width fit.
+    """
+    heights = conjugate(_abs_shape(signed))[::-1]
+    options = _follower_builder(signed, lie_type, n, fold)
+    followers: dict[tuple, list] = {}
     chosen: list[tuple[int, ...]] = []
     stack: list[Iterator] = []
     right, state = (), start
@@ -657,6 +678,78 @@ def _column_chains(
             stack.pop()
         else:
             return
+
+
+def _column_tally(
+    signed: tuple[int, ...], lie_type: str, n: int, max_count: int
+) -> Counter[tuple[int, ...]]:
+    """The weight windows of the valid fillings of a normalized shape at
+    rank n, each with its number of fillings: the Counter of the windows of
+    :func:`enumerate_kn`, which stays the listing and the oracle.
+
+    A transfer-matrix count (Stanley, EC1 4.7) over the columns of
+    :func:`_follower_builder`, right to left: each layer maps a column to
+    the Counter of the windows of the columns right of it, over the partial
+    fillings it starts.  The layer is consumed as the next one is built, and
+    a column's own window is added once, when it is taken as a right
+    neighbour or summed into the tally.
+
+    Raises ResourceCapError when there are more than max_count fillings, as
+    soon as any layer has counted more than max_count partial fillings, so
+    no layer outgrows the cap.  That trips on the same shapes as the
+    listing, because every partial filling extends to the left.  The
+    fillings of a shape are the highest-weight component of the tensor
+    product of its first column's crystal with the crystal of the rest, and
+    both factor projections of that component are onto: in Kashiwara's
+    tensor rule, with u the highest and w the lowest element of a factor,
+    e_i acts on the first factor of b (x) u and f_i on the second factor of
+    w (x) b, so every b (x) u and every w (x) b lies in the component of
+    u (x) u.  The tests check, column by column up to rank 4, that every
+    column has a left neighbour of each height at least its own.
+
+    Each right neighbour's followers are built once per layer and dropped:
+    the shapes of ``verify jt-character --rank 5`` are at most two columns
+    wide, so kept lists were never read again and raised its peak RSS from
+    21.9 to 28.2 MB.
+    """
+
+    def shifted(windows: Counter, col: tuple[int, ...]) -> Counter:
+        shift = _word_window(col, n)
+        return Counter(
+            {tuple(map(operator.add, w, shift)): c for w, c in windows.items()}
+        )
+
+    def hold(filled: int) -> None:
+        if filled > max_count:
+            raise ResourceCapError(
+                f"more than {max_count} fillings of shape {signed} at rank {n}"
+            )
+
+    options = _follower_builder(signed, lie_type, n, _keep_state)
+    heights = conjugate(_abs_shape(signed))[::-1]
+    layer: dict[tuple[int, ...], Counter] = {(): Counter({(0,) * n: 1})}
+    hold(1)  # the empty partial filling
+    for h in heights:
+        merged: dict[tuple[int, ...], Counter] = {}
+        filled = 0  # the partial fillings this layer ends so far
+        while layer:
+            right, windows = layer.popitem()
+            windows = shifted(windows, right)
+            followers = options(h, right, ())
+            filled += len(followers) * windows.total()
+            hold(filled)
+            for col, _ in followers:
+                into = merged.get(col)
+                if into is None:
+                    merged[col] = windows.copy()
+                else:
+                    into.update(windows)
+        layer = merged
+    tally: Counter[tuple[int, ...]] = Counter()
+    while layer:
+        col, windows = layer.popitem()
+        tally.update(shifted(windows, col))
+    return tally
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from crystalline.cli import main
 from crystalline.crystal import build_graph
 from crystalline.grothendieck import a_z, psi, row_class
 from crystalline.symfunc import LaurentPoly
-from crystalline.tableaux import enumerate_sst_pairs, residue, t_lambda
+from crystalline.tableaux import enumerate_kn, enumerate_sst_pairs, residue, t_lambda
 from crystalline.weights import conjugate
 
 
@@ -234,6 +235,40 @@ def test_verify_caps(capsys):
     assert code == 3
     code, _, err = run(capsys, "verify", "laurent-bridge", "--rank", "99")
     assert code == 3
+
+
+def test_jt_character_cap_boundary(capsys):
+    # the rank-3 model of (2, 1) has 64 fillings: a cap of 64 counts them
+    # all, and one less stops the suite with a single line
+    assert len(enumerate_kn((2, 1), "c", 3)) == 64
+    flags = ("verify", "jt-character", "--type", "c", "--shape", "2,1", "--rank", "3")
+    code, out, _ = run(capsys, *flags, "--max-vertices", "64")
+    assert code == 0, out
+    code, out, err = run(capsys, *flags, "--max-vertices", "63")
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "resource cap: more than 63 fillings of shape (2, 1) at rank 3"
+    ]
+
+
+def test_jt_character_cap_holds_every_layer():
+    # (40, 40, 40, 39) at rank 4 is 40 columns wide: the cap must stop the
+    # count within its first layers, as the listing stopped after 1,001
+    # fillings, not after 39 uncapped layers, so the child gets 20 s and
+    # 1 GiB of address space
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crystalline.__file__)))
+    argv = ("verify", "jt-character", "--shape", "1", "--shape-ell", "40",
+            "--rank", "4", "--max-vertices", "1000")
+    proc = subprocess.run(
+        [sys.executable, "-m", "crystalline.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "resource cap: more than 1000 fillings of shape (40, 40, 40, 39) at rank 4"
+    ]
 
 
 def test_verify_output_file(capsys, tmp_path):

@@ -2,6 +2,7 @@
 characters, canonical fillings, and the spinor column pairs with residues."""
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -18,8 +19,11 @@ from crystalline.symfunc import (
 )
 from crystalline.tableaux import (
     _barred_frame_grid,
+    _column_tally,
+    _follower_builder,
     _frame_grid,
     _frame_strata,
+    _keep_state,
     _max_residue,
     _sst_pairs,
     KNTableau,
@@ -360,13 +364,71 @@ def test_empty_shape():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ResourceCapError):
-        enumerate_kn((1,), "b", 2, max_count=3)
+    # (1,) has five fillings in type b at rank 2: the listing and the tally
+    # take a cap of 5 and stop past 3 with the same text
+    for count in (enumerate_kn, _column_tally):
+        assert sum(Counter(count((1,), "b", 2, 5)).values()) == 5
+        with pytest.raises(
+            ResourceCapError, match=r"^more than 3 fillings of shape \(1,\) at rank 2$"
+        ):
+            count((1,), "b", 2, 3)
 
 
 def test_enumeration_walks_shapes_wider_than_the_recursion_limit():
     # one column per box: x barred 1s then 1s, for x = 0..1500
     assert len(enumerate_kn((1500,), "c", 1)) == 1501
+
+
+def tally_shapes(n: int, lie_type: str, budget: int) -> list[tuple[int, ...]]:
+    """Every shape of at most ``budget`` boxes at rank n, the empty one and
+    the full-height ones included, and in type d each full-height shape's
+    signed twin."""
+    out = []
+    for m in range(budget + 1):
+        for lam in partitions_of(m):
+            if len(lam) <= n:
+                out.append(tuple(lam))
+                if lie_type == "d" and len(lam) == n:
+                    out.append(tuple(lam[:-1]) + (-lam[-1],))
+    return out
+
+
+def test_column_tally_matches_the_listing():
+    # the tally counts the fillings that enumerate_kn lists, window by window
+    cases = [
+        (shape, lie_type, n)
+        for lie_type in ("b", "c", "d")
+        for n in (1, 2, 3, 4)
+        for shape in tally_shapes(n, lie_type, 5)
+    ]
+    cases += [
+        ((2, 2, 1, 1), "c", 5),
+        ((2, 2, 1, 1, 1), "b", 5),
+        ((2, 2, 2, 1), "d", 5),
+        ((2, 2, 1, 1, -1), "d", 5),
+    ]
+    for shape, lie_type, n in cases:
+        signed = normalize_shape(shape, lie_type, n)
+        listed = Counter(T.weight().window(n) for T in enumerate_kn(signed, lie_type, n))
+        tally = _column_tally(signed, lie_type, n, tableaux.DEFAULT_MAX_VERTICES)
+        assert tally == listed, (lie_type, n, shape)
+
+
+def test_every_column_has_a_left_neighbour():
+    # the tally holds each layer's partial fillings to the cap, which is the
+    # listing's cap only if every partial filling extends to the left: every
+    # valid column has a compatible left neighbour of each height >= its own
+    for n in (1, 2, 3, 4):
+        for lie_type in ("b", "c", "d"):
+            shapes = [(1,) * n, (1,) * (n - 1)]
+            if lie_type == "d":
+                shapes.append((1,) * (n - 1) + (-1,))
+            for signed in filter(None, shapes):
+                options = _follower_builder(signed, lie_type, n, _keep_state)
+                for h in range(1, n + 1):
+                    for right, _ in options(h, (), ()):
+                        for left_h in range(h, n + 1):
+                            assert options(left_h, right, ()), (lie_type, signed, right, left_h)
 
 
 # ---------------------------------------------------------------------------
