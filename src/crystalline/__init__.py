@@ -10,6 +10,7 @@ Everything is exact integer arithmetic; there are no floating-point paths.
 
 import types as _types
 
+from crystalline import crystal, grothendieck, symfunc, tableaux, weights
 from crystalline.crystal import (
     CrystalClosureError,
     CrystalElement,
@@ -115,7 +116,18 @@ from crystalline.weights import (
     truncation_shape,
 )
 
-# The imports above are the one list of public names.
+
+def clear_caches() -> None:
+    """Empty every in-process memo table (README, "In-process memo tables"),
+    so the next ask of each computes it again.  The CLI's parser holds no
+    answers and is kept."""
+    for module in (weights, tableaux, crystal, symfunc, grothendieck):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+# The imports and definitions above are the one list of public names.
 __all__ = sorted(
     name
     for name, value in globals().items()

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 
 from crystalline.crystal import DEFAULT_MAX_VERTICES, build_graph
 from crystalline.grothendieck import (
@@ -597,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--shape", required=True, help="comma-separated parts")
     p_enum.add_argument("--format", default="json", choices=["json", "csv"])
     add_common(p_enum, "vertices", "rank")
-    p_enum.set_defaults(func=cmd_enumerate)
 
     p_graph = sub.add_parser("graph", help="emit a crystal graph")
     p_graph.add_argument("--type", required=True, help="b, c, or d")
@@ -605,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph.add_argument("--shape", required=True, help="comma-separated parts")
     p_graph.add_argument("--format", default="dot", choices=["dot", "json", "csv"])
     add_common(p_graph, "vertices", "rank")
-    p_graph.set_defaults(func=cmd_graph)
 
     p_verify = sub.add_parser("verify", help="run an identity suite")
     p_verify.add_argument("identity", help="suite name")
@@ -622,7 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shape-ell", type=int, help="level for the single jt-character shape"
     )
     add_common(p_verify, "vertices", "degree", "rank")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_groth = sub.add_parser("groth", help="multiply in the class ring")
     p_groth.add_argument("expr", help="terms joined by *, e.g. 'h:0 * z:1'")
@@ -640,14 +638,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_groth.add_argument("--format", default="text", choices=["text", "json"])
     add_common(p_groth, "degree")
-    p_groth.set_defaults(func=cmd_groth)
 
     return parser
 
 
+@lru_cache(maxsize=None)
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads with, built once per interpreter; it holds
+    no answers, and ``build_parser`` still hands every caller a new one."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     # An --output path is opened for appending before the command runs, so
     # an unwritable one fails at once and an existing file is not cut short;
     # a file made here is removed again when the command fails.
@@ -657,7 +660,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             new = not os.path.exists(args.output)
             _open_output(args.output, "a").close()
             made = new
-        code = args.func(args)
+        # looked up by name when called, so the parser built once does not
+        # pin the function that stood under the name when it was built
+        code = globals()[f"cmd_{args.command}"](args)
         made = False
         return code
     except (CliError, InvalidShapeError) as exc:

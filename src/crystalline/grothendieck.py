@@ -117,7 +117,7 @@ class GrothElement(TermMap):
         through_degree: int | None = None,
     ):
         check_lie_type(lie_type)
-        self._init((lie_type, through_degree), terms)
+        self._init((lie_type, _check_window(through_degree)), terms)
 
     @staticmethod
     def _key(ctx: tuple, label: Label) -> Label | None:
@@ -167,6 +167,20 @@ class GrothElement(TermMap):
             "through_degree": self.through_degree,
             "terms": terms,
         }
+
+
+def _check_window(through_degree) -> int | None:
+    """A window given from outside, as an int (``True`` reads 1) or None.
+
+    Windows key the memo tables and are printed, so one that is not an
+    integer is refused here rather than deep inside a product.
+    """
+    if through_degree is None:
+        return None
+    try:
+        return operator.index(through_degree)
+    except TypeError:
+        raise TypeError(f"through_degree {through_degree!r} is not an integer") from None
 
 
 def _min_window(a: int | None, b: int | None) -> int | None:
@@ -335,7 +349,7 @@ def mul_posi_posi(
     The result is an infinite series in general; the returned element
     carries the window and stores every coefficient inside it.
     """
-    return _posi_posi(lie_type, k1, k2, through_degree)
+    return _posi_posi(lie_type, k1, k2, _check_window(through_degree))
 
 
 @_widest_window(
@@ -403,7 +417,7 @@ def groth_mul(
     """
     if x.lie_type != y.lie_type:
         raise InvalidShapeError("cannot multiply elements of different types")
-    window = through_degree
+    window = _check_window(through_degree)
     if y.through_degree is not None:
         window = _min_window(window, y.through_degree)
     if x.through_degree is not None:
@@ -429,22 +443,28 @@ def level_determinant(
 
     Expresses the dominant class of the shape as the determinant in one
     row classes, whose expansion telescopes back to the single class
-    inside the window.  Entries with negative index resolve per type (see
-    :func:`_row_determinant`); the even orthogonal shapes shorter or taller than
-    the level take halved corrections by (H_0 - Hbar_0) times the
-    symplectic-style determinant one level down.
+    inside the window (by default |lam| + 4).  Entries with negative index
+    resolve per type (see :func:`_row_determinant`); the even orthogonal
+    shapes shorter or taller than the level take halved corrections by
+    (H_0 - Hbar_0) times the symplectic-style determinant one level down.
     """
+    if not isinstance(shape, DominantShape):
+        raise TypeError(f"shape {shape!r} is not a DominantShape")
+    window = _check_window(through_degree)
+    return _level_determinant(shape, sum(shape.lam) + 4 if window is None else window)
+
+
+@lru_cache(maxsize=None)
+def _level_determinant(shape: DominantShape, window: int) -> GrothElement:
     lie_type = shape.lie_type
-    if through_degree is None:
-        through_degree = sum(shape.lam) + 4
 
     def h(lie: str, a: int) -> GrothElement:
-        return _trusted_element(lie, row_class(lie, a).terms, through_degree)
+        return _trusted_element(lie, row_class(lie, a).terms, window)
 
     def hbar() -> GrothElement:
-        return _trusted_element("d", barred_class().terms, through_degree)
+        return _trusted_element("d", barred_class().terms, window)
 
-    zero = GrothElement(lie_type, {}, through_degree)
+    zero = GrothElement(lie_type, {}, window)
     return _row_determinant(shape, h, hbar, zero, groth_one(lie_type))
 
 
@@ -497,6 +517,7 @@ def structure_constant(
     check_lie_type(lie_type)
     if target.lie_type != lie_type:
         raise InvalidShapeError("target type mismatch")
+    m = operator.index(m)
     if m < 1:
         raise InvalidShapeError("need at least one factor")
     mu = make_partition(mu)
@@ -793,5 +814,11 @@ def psi(x: GrothElement) -> AElement:
         raise ValueError("the realization map needs an exact element")
     total = Accumulator(AElement(x.lie_type))
     for label, c in x.terms.items():
-        total.add(psi_zero(x.lie_type, label.mu) * psi_plus(label.kappa), c)
+        total.add(_psi_label(label), c)
     return total.result()
+
+
+@lru_cache(maxsize=None)
+def _psi_label(label: Label) -> AElement:
+    """The image of one basis pair, whose type its dominant shape carries."""
+    return psi_zero(label.kappa.lie_type, label.mu) * psi_plus(label.kappa)

@@ -333,7 +333,7 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
     # force the scan to give up: every scan reads the rank below the one
     # asked for, so the first pair (ranks 3 and 4, really 2 and 3) disagrees,
     # and no escalation is allowed
-    from crystalline import crystal, grothendieck
+    from crystalline import crystal
 
     scan = crystal._scan_at_rank
     monkeypatch.setattr(crystal, "_SCAN_ESCALATIONS", 0)
@@ -343,11 +343,11 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
 
     monkeypatch.setattr(crystal, "_scan_at_rank", low)
     # no scan answered before, or by, the patched scan may stay
-    grothendieck._posi_zero.cache_clear()
+    crystalline.clear_caches()
     try:
         code, out, err = run(capsys, "groth", "pi:1@1*w:1", "--type", "b")
     finally:
-        grothendieck._posi_zero.cache_clear()
+        crystalline.clear_caches()
     assert (code, out) == (3, "")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("resource cap: decomposition did not stabilize by rank 4;")
@@ -357,14 +357,14 @@ def test_groth_non_stabilization_is_one_line(capsys, monkeypatch):
 def test_groth_scan_node_cap_is_one_line(capsys, monkeypatch):
     # the scan's walk stops at the node cap: h_1 x z_2 in type c starts at
     # rank 5, whose 1,1 walk places more than ten letters
-    from crystalline import crystal, grothendieck
+    from crystalline import crystal
 
     monkeypatch.setattr(crystal, "DEFAULT_MAX_VERTICES", 10)
-    grothendieck._posi_zero.cache_clear()
+    crystalline.clear_caches()
     try:
         code, out, err = run(capsys, "groth", "h:1*z:2", "--type", "c")
     finally:
-        grothendieck._posi_zero.cache_clear()
+        crystalline.clear_caches()
     assert (code, out) == (3, "")
     assert err == "resource cap: more than 10 scan nodes for shape (1, 1) at rank 5\n"
 
@@ -525,6 +525,48 @@ def test_unwritable_output_fails_before_the_command_runs(capsys, monkeypatch, co
     assert err.startswith("error: cannot write /nonexistent/x: ") and err.count("\n") == 1
 
 
+def test_main_runs_the_command_now_bound_to_its_name(capsys, monkeypatch):
+    # the positive control of the test above: with the shared parser built
+    # by an earlier run, a replaced cmd_groth is what main calls
+    assert run(capsys, "groth", "h:1*z:1")[0] == 0
+    ran = []
+
+    def stub(args):
+        ran.append(args.expr)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_groth", stub)
+    assert run(capsys, "groth", "h:1*z:1") == (0, "", "")
+    assert ran == ["h:1*z:1"]
+
+
+def test_main_builds_one_parser_and_build_parser_a_new_one_each_call(
+    capsys, monkeypatch
+):
+    build, built = cli.build_parser, []
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._main_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "groth", "h:1*z:1")[0] == 0
+        assert len(built) == 1
+    finally:
+        cli._main_parser.cache_clear()
+    # a caller's edits to its own parser do not reach the one main reads
+    mine = cli.build_parser()
+    assert mine is not cli.build_parser()
+    subparsers = next(
+        a for a in mine._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    subparsers.choices["groth"].set_defaults(format="json")
+    assert run(capsys, "groth", "h:1*z:1")[1] == "[0 | 0@1] + [1 | 1@1] + [0 | 2@1]\n"
+
+
 def test_output_probe_keeps_files_of_failed_runs_as_they_were(capsys, tmp_path):
     # a failing run neither cuts an existing file short nor leaves a new one
     old = tmp_path / "old.txt"
@@ -581,7 +623,7 @@ def test_each_subcommand_takes_exactly_the_caps_it_reads(capsys):
         for argv in runs:
             args = parser.parse_args(argv, namespace=ReadRecorder())
             vars(args).pop("_read", None)
-            assert args.func(args) == 0
+            assert getattr(cli, f"cmd_{name}")(args) == 0
             read |= vars(args).pop("_read", set())
         capsys.readouterr()
         assert read == taken[name], name

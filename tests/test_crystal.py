@@ -1051,7 +1051,7 @@ def test_pruned_scan_matches_the_full_listing(lie_type):
 def test_label_translation_is_shared_across_ranks():
     # a component's window at the next rank gains a tail-valued coordinate,
     # which the weight drops, so both ranks read one table entry
-    crystal._component.cache_clear()
+    crystalline.clear_caches()
     low = crystal.window_to_component((0, -1, -1), -1, "c")
     high = crystal.window_to_component((0, -1, -1, -1), -1, "c")
     assert low == high == StableComponent((), DominantShape("c", (1,), 1))

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import crystalline
 from crystalline.grothendieck import (
     AElement,
     AMonomial,
@@ -22,6 +23,7 @@ from crystalline.grothendieck import (
     groth_basis,
     groth_mul,
     groth_one,
+    label_sort_key,
     level_determinant,
     make_label,
     mul_posi_posi,
@@ -335,11 +337,11 @@ def test_trusted_products_match_validated_elements(lie_type):
 def test_posi_posi_cache_answers_a_narrower_window(lie_type):
     k1 = DominantShape(lie_type, (1,), 1)
     k2 = DominantShape(lie_type, (), 1)
-    grothendieck._posi_posi.cache_clear()
+    crystalline.clear_caches()
     wide = mul_posi_posi(lie_type, k1, k2, 6)
     assert any(_label_size(l) > 4 for l in wide.terms)
     narrow = mul_posi_posi(lie_type, k1, k2, 4)
-    grothendieck._posi_posi.cache_clear()
+    crystalline.clear_caches()
     assert narrow == mul_posi_posi(lie_type, k1, k2, 4)
     assert narrow.through_degree == 4
 
@@ -353,12 +355,12 @@ def test_basis_series_cuts_a_narrower_cutoff_from_the_widest(monkeypatch):
         return s_g_series(kappa, cutoff)
 
     monkeypatch.setattr(grothendieck, "s_g_series", counted)
-    grothendieck._basis_series.cache_clear()
+    crystalline.clear_caches()
     grothendieck._basis_series(shape, 8)
     narrow = grothendieck._basis_series(shape, 6)
     assert built == [8]
     assert narrow == s_g_series(shape, 6)
-    grothendieck._basis_series.cache_clear()
+    crystalline.clear_caches()
     grothendieck._basis_series(shape, 6)
     assert grothendieck._basis_series(shape, 8) == s_g_series(shape, 8)
     assert built == [8, 6, 8]
@@ -398,6 +400,117 @@ def test_level_determinant_telescopes_to_single_class():
             )
 
 
+def test_level_determinant_checks_its_arguments_before_the_memo():
+    shape = DominantShape("c", (1,), 1)
+    crystalline.clear_caches()
+    det = level_determinant(shape, True)
+    assert type(det.through_degree) is int and det.through_degree == 1
+    # the memo key of the True window is the int 1's, so a later caller
+    # reads the same element and prints 1, not true
+    assert json.dumps(level_determinant(shape, 1).to_json()["through_degree"]) == "1"
+    for window in (2.5, "3", (3,)):
+        with pytest.raises(TypeError, match="through_degree .* is not an integer"):
+            level_determinant(shape, window)
+    for bad in [("c", (1,), 1), shape_class("c", (1,), 1), [1]]:
+        with pytest.raises(TypeError, match="is not a DominantShape"):
+            level_determinant(bad)
+    assert grothendieck._level_determinant.cache_info().currsize == 1
+
+
+def test_windows_are_integers_at_the_public_boundary():
+    assert GrothElement("c", {}, True).to_json()["through_degree"] == 1
+    assert type(GrothElement("c", {}, True).through_degree) is int
+    h = row_class("c", 0)
+    assert type(groth_mul(h, h, True).through_degree) is int
+    assert groth_mul(h, h, True) == groth_mul(h, h, 1)
+    k1, k2 = DominantShape("c", (1,), 1), DominantShape("c", (), 1)
+    crystalline.clear_caches()
+    assert type(mul_posi_posi("c", k1, k2, True).through_degree) is int
+    assert json.dumps(mul_posi_posi("c", k1, k2, 1).to_json()["through_degree"]) == "1"
+    for window in ("3", 2.5, 1.0):
+        with pytest.raises(TypeError, match="through_degree .* is not an integer"):
+            GrothElement("c", {}, window)
+        with pytest.raises(TypeError, match="through_degree .* is not an integer"):
+            groth_mul(h, h, window)
+        with pytest.raises(TypeError, match="through_degree .* is not an integer"):
+            mul_posi_posi("c", k1, k2, window)
+
+
+def test_warm_level_determinants_equal_cold_ones():
+    """Types b, c and d, levels 1 to 4, at most 3 boxes, at the default
+    window and at |lam| + 1: the memo's second answer is the first, its
+    terms refuse writes, and a rebuild on cleared tables equals it."""
+    asks = [
+        (shape, window)
+        for lie in ("b", "c", "d")
+        for ell in range(1, 5)
+        for shape in level_shapes(lie, ell, range(4))
+        for window in (None, sum(shape.lam) + 1)
+    ]
+    crystalline.clear_caches()
+    first = [level_determinant(*ask) for ask in asks]
+    label = make_label("c", (), DominantShape("c", (), 1))
+    for ask, det in zip(asks, first):
+        again = level_determinant(*ask)
+        assert again == det and again is det, ask
+        with pytest.raises(TypeError):
+            again.terms[label] = 2
+    crystalline.clear_caches()
+    assert [level_determinant(*ask) for ask in asks] == first
+
+
+def test_warm_psi_images_equal_cold_ones(monkeypatch, capsys):
+    """Every basis label the default ``verify psi`` run meets: the memo's
+    second answer is the first, its terms refuse writes, and a rebuild on
+    cleared tables equals it and the product of the two determinants."""
+    from crystalline.cli import main
+
+    met = []
+    memo = grothendieck._psi_label
+
+    def recording(label):
+        met.append(label)
+        return memo(label)
+
+    monkeypatch.setattr(grothendieck, "_psi_label", recording)
+    assert main(["verify", "psi"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    labels = sorted(set(met), key=lambda l: (l.kappa.lie_type, label_sort_key(l)))
+    assert {l.kappa.lie_type for l in labels} == {"b", "c", "d"}
+    assert any(l.mu and l.kappa.ell for l in labels)
+    first = [psi(GrothElement(l.kappa.lie_type, {l: 1})) for l in labels]
+    mono = AMonomial(zs=(1,))
+    for label, image in zip(labels, first):
+        again = grothendieck._psi_label(label)
+        assert again == image and again is grothendieck._psi_label(label), label
+        with pytest.raises(TypeError):
+            again.terms[mono] = 2
+    crystalline.clear_caches()
+    for label, image in zip(labels, first):
+        assert grothendieck._psi_label(label) == image, label
+        lie = label.kappa.lie_type
+        assert image == psi_zero(lie, label.mu) * psi_plus(label.kappa), label
+
+
+def test_clear_caches_empties_every_table():
+    groth_mul(row_class("c", 1), column_class("c", 2))
+    groth_mul(row_class("b", 1), row_class("b", 0), 4)
+    level_determinant(DominantShape("d", (1,), 2))
+    psi(groth_basis("c", (1,), DominantShape("c", (1,), 1)))
+    modules = [crystalline.weights, crystalline.tableaux, crystalline.crystal,
+               crystalline.symfunc, grothendieck]
+    sized = {
+        id(v): v for m in modules for v in vars(m).values() if hasattr(v, "cache_info")
+    }
+    assert {grothendieck._level_determinant, grothendieck._psi_label} <= set(
+        sized.values()
+    )
+    assert any(v.cache_info().currsize for v in sized.values())
+    crystalline.clear_caches()
+    assert [v for v in sized.values() if v.cache_info().currsize] == []
+
+
 def test_two_row_determinant_identity_symplectic():
     """H((1,1),2) = H1 (H3 + H1) - H2 (H2 + H0); the infinite tails of the
     four products cancel inside the window."""
@@ -409,6 +522,15 @@ def test_two_row_determinant_identity_symplectic():
 
 # ---------------------------------------------------------------------------
 # structure constants
+
+
+def test_structure_constant_keys_its_cache_by_an_integer_factor_count(tmp_path):
+    cache = StructureCache(str(tmp_path / "constants.json"))
+    target = DominantShape("c", (1,), 1)
+    assert structure_constant("c", (1,), True, target, cache) == 1
+    assert cache.data == {"c|1|1|1@1": 1}
+    with pytest.raises(TypeError):
+        structure_constant("c", (1,), 2.0, DominantShape("c", (1,), 2), cache)
 
 
 def test_structure_constant_diagonal_is_one():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import crystalline
 from crystalline import symfunc
 from crystalline.grothendieck import AElement, a_h, a_z
 from crystalline.weights import (
@@ -238,8 +239,7 @@ def test_cap_e_against_closed_form():
 
 
 def test_e_series_table_is_shared_and_bounded():
-    symfunc._cap_e.cache_clear()
-    symfunc._alternating_e_product.cache_clear()
+    crystalline.clear_caches()
     for r in range(-9, 10):
         cap_e(r, 6)
     # E_r = 0 for |r| > 6 is not stored, and E_{-r} is the entry of E_r
@@ -517,7 +517,7 @@ def ssyt_terms(lam, n) -> dict:
 
 
 def test_branching_schur_poly_matches_tableau_listing():
-    symfunc._schur_poly.cache_clear()
+    crystalline.clear_caches()
     checked = 0
     for n in range(0, 7):
         for size in range(0, 9):
@@ -534,7 +534,7 @@ def test_branching_schur_poly_matches_tableau_listing():
 
 
 def test_branching_schur_poly_caches_its_intermediate_shapes():
-    symfunc._schur_poly.cache_clear()
+    crystalline.clear_caches()
     top = schur_poly((2, 1), 3)
     built = symfunc._schur_poly.cache_info().currsize
     # the cells holding 3 come off (2, 1) leaving the shapes interlacing it,
